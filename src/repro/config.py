@@ -360,48 +360,32 @@ class ReduceConfig:
 class StreamConfig:
     """Pipelined chunk streaming through the flush/prefetch cascades.
 
-    With ``enabled=False`` (the default) every cascade stage remains
-    store-and-forward — a checkpoint fully lands on one tier before the
-    next hop starts — bit-for-bit the historical behaviour (same
-    discipline as :class:`SchedConfig` / :class:`ReduceConfig` /
-    :class:`FaultConfig`).  When enabled, each transfer is split into
-    fixed-size chunks streamed through a per-checkpoint ring buffer: the
-    D2H, host→SSD and SSD→PFS hops overlap chunk-by-chunk (and promotions
-    overlap the storage read with the H2D crossing), so end-to-end
-    durability latency approaches ``max(stage)`` instead of
-    ``sum(stages)``.
+    Every flush leg takes a chunk plan.  With ``enabled=False`` (the
+    default) each leg runs the one-chunk plan: store-and-forward — a
+    checkpoint fully lands on one tier before the next hop starts — the
+    historical behaviour bit for bit (same discipline as
+    :class:`SchedConfig` / :class:`ReduceConfig` / :class:`FaultConfig`).
+    When enabled, a transfer of at least
+    :data:`~repro.core.streaming.MIN_STREAM_CHUNKS` chunks streams through
+    a per-checkpoint ring buffer of
+    :data:`~repro.core.streaming.RING_CHUNKS` chunks: the D2H, host→SSD and
+    SSD→PFS hops overlap chunk-by-chunk (and promotions overlap the storage
+    read with the H2D crossing), so end-to-end durability latency
+    approaches ``max(stage)`` instead of ``sum(stages)``.  Shorter
+    transfers keep the one-chunk plan, since per-chunk latency would
+    dominate them.
     """
 
     #: master switch: stream the flush cascade and the promote path.
     enabled: bool = False
     #: nominal bytes per streamed chunk.  Sized so 2–3 chunks fit a
-    #: double-buffered 32–48 MiB staging window; transfers smaller than
-    #: ``min_stream_chunks`` chunks take the legacy whole-object path
-    #: (per-chunk latency would dominate).
+    #: double-buffered 32–48 MiB staging window.
     stream_chunk_bytes: int = 16 * MiB
-    #: ring-buffer depth in chunks: a producer stage may run at most this
-    #: many chunks ahead of its consumer before backpressure parks it
-    #: (double buffer + 1 in-flight chunk).
-    ring_chunks: int = 3
-    #: minimum chunk count for the streamed path; shorter transfers stay
-    #: store-and-forward.
-    min_stream_chunks: int = 2
-    #: also stream demand/prefetch promotions (storage read overlapped
-    #: with the H2D crossing through the same ring buffer).
-    prefetch: bool = True
 
     def __post_init__(self) -> None:
         if self.stream_chunk_bytes <= 0:
             raise ConfigError(
                 f"stream_chunk_bytes must be positive: {self.stream_chunk_bytes}"
-            )
-        if self.ring_chunks < 2:
-            raise ConfigError(
-                f"ring_chunks must be >= 2 (double buffer): {self.ring_chunks}"
-            )
-        if self.min_stream_chunks < 2:
-            raise ConfigError(
-                f"min_stream_chunks must be >= 2: {self.min_stream_chunks}"
             )
 
 

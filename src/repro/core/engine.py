@@ -29,7 +29,13 @@ from repro.core.lifecycle import CkptState
 from repro.core.prefetcher import Prefetcher
 from repro.core.restore_queue import RestoreQueue
 from repro.core.scoring import ScorePolicy
-from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
+from repro.core.streaming import (
+    MIN_STREAM_CHUNKS,
+    RING_CHUNKS,
+    ChunkPipeline,
+    chunk_sizes_for,
+    plan_chunks,
+)
 from repro.core.sync import Monitor
 from repro.errors import (
     BackpressureError,
@@ -1072,11 +1078,7 @@ class ScoreEngine:
         ``speculative`` marks the landed extents as revocable predicted
         stagings rather than pinned hinted prefetches.
         """
-        if (
-            self.streaming
-            and self.config.stream.prefetch
-            and src in (TierLevel.SSD, TierLevel.PFS)
-        ):
+        if self.streaming and src in (TierLevel.SSD, TierLevel.PFS):
             result = self._promote_streamed(
                 record, src, dst, blocking, allow_pinned, request, op,
                 speculative=speculative,
@@ -1253,11 +1255,10 @@ class ScoreEngine:
             # The host-site decode sits between the two hops; the fused
             # stream has no host staging step to decode at.
             return NotImplemented
-        scfg = self.config.stream
         src_now, store = self.durable_read_source(record)
         read_nominal = record.stored_size(src_now)
         sizes = plan_chunks(
-            read_nominal, scfg.stream_chunk_bytes, scfg.min_stream_chunks
+            read_nominal, self.config.stream.stream_chunk_bytes, MIN_STREAM_CHUNKS
         )
         if sizes is None or self.promote_stream is None:
             return NotImplemented
@@ -1294,7 +1295,7 @@ class ScoreEngine:
         pipeline = ChunkPipeline(
             record.ckpt_id,
             len(sizes),
-            scfg.ring_chunks,
+            RING_CHUNKS,
             self.clock,
             crashed=self.crashed,
         )

@@ -1,11 +1,24 @@
 """Asynchronous multi-level flushing (T_D2H and T_H2F of Section 4.3.1).
 
-Each process runs two dedicated flush streams:
+Each process runs up to five flush streams:
 
-* ``flush-d2h`` — GPU cache → pinned host cache, over the (shared) PCIe
-  link;
-* ``flush-h2f`` — host cache → node-local SSD (and optionally onward to the
-  parallel file system when persistence beyond the node is requested).
+* ``flush-d2h`` — GPU cache → pinned host cache over the (shared) PCIe
+  link; GPUDirect ``d2s`` flushes ride it straight to the SSD instead;
+* ``flush-h2f`` — host cache → node-local SSD, rerouted to the parallel
+  file system while the SSD is dark;
+* ``flush-repl`` — SSD → the replica targets' SSDs (partner pair or ring
+  successors), when replication is on;
+* ``flush-f2p`` — SSD → parallel file system, when persistence beyond the
+  node is requested;
+* ``flush-f2r`` — the SSD read-back of ``f2p`` as a stage of its own, when
+  chunk streaming is on.
+
+Each leg is written once and takes a chunk plan
+(:mod:`repro.core.streaming`).  The one-chunk plan, ``SERIAL``, is
+store-and-forward: a leg moves the whole object and submits the next leg
+once it lands.  A multi-chunk :class:`~repro.core.streaming.ChunkPipeline`
+co-submits every leg up front and streams chunks between them through a
+bounded ring.
 
 The cascade follows the life cycle: a tier's instance becomes ``FLUSHED``
 (evictable) only once the next slower tier holds a complete copy.  The
@@ -26,7 +39,14 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.lifecycle import CkptState
-from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
+from repro.core.streaming import (
+    MIN_STREAM_CHUNKS,
+    RING_CHUNKS,
+    SERIAL,
+    ChunkPipeline,
+    chunk_sizes_for,
+    plan_chunks,
+)
 from repro.errors import (
     AllocationError,
     ReproError,
@@ -63,9 +83,9 @@ class Flusher:
         self.f2p_stream = (
             engine.device.create_stream("flush-f2p") if engine.flush_to_pfs else None
         )
-        # Streamed-only companion to f2p: the SSD read-back runs as its own
+        # Ring-only companion to f2p: the SSD read-back runs as its own
         # pipeline stage so the read of chunk i+1 overlaps the PFS write of
-        # chunk i (store-and-forward f2p serialises the two legs).
+        # chunk i (the one-chunk plan runs both on f2p, back to back).
         self.f2r_stream = (
             engine.device.create_stream("flush-f2r")
             if engine.streaming and engine.flush_to_pfs
@@ -116,6 +136,7 @@ class Flusher:
         self._stream_overlap_s = 0.0
         if engine.streaming:
             self._m_streamed = registry.counter("flush.stream.pipelines")
+            self._m_unaggregated = registry.counter("flush.stream.unaggregated")
             self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
             self._m_stall = {
                 stage: registry.gauge(f"flush.{stage}.stall_time")
@@ -181,66 +202,64 @@ class Flusher:
         )
 
     def schedule(self, record: "CheckpointRecord") -> None:
-        """Queue the D2H (or GPUDirect D2S) leg after the GPU write."""
-        with self.engine.monitor:
-            record.instance(TierLevel.GPU).flush_pending = True
-        if self.engine.gpudirect:
-            self.d2h_stream.submit(
-                lambda: self._flush_d2s(record), label=f"d2s-{record.ckpt_id}"
-            )
-        elif not self._schedule_streamed(record):
-            self.d2h_stream.submit(
-                lambda: self._flush_d2h(record), label=f"d2h-{record.ckpt_id}"
-            )
-        self._m_d2h_depth.set(self.d2h_stream.depth)
+        """Queue the flush cascade after the GPU write.
 
-    def _schedule_streamed(self, record: "CheckpointRecord") -> bool:
-        """Co-submit the streamed cascade stages; ``False`` when this record
-        takes the legacy store-and-forward path (streaming off, or the
-        transfer is too small to amortise per-chunk latency).
-
-        All stages of one checkpoint are submitted together, in cascade
-        order, onto their per-stage FIFO streams.  Because every checkpoint
-        submits in the same stage order, the only cross-stage waits are
-        *backward* (consumer on producer of the same checkpoint, producer
-        throttled by its own consumer) — the dependency graph stays acyclic
-        and the co-scheduled workers cannot deadlock.
+        Under the one-chunk plan only the first leg is queued; each leg
+        queues the next once it lands.  A ring plan (streaming on, and a
+        D2H transfer of at least ``MIN_STREAM_CHUNKS`` chunks) co-submits
+        every leg now.
         """
         engine = self.engine
-        if not engine.streaming:
-            return False
-        scfg = engine.config.stream
-        sizes = plan_chunks(
-            record.wire_size(TierLevel.GPU, TierLevel.HOST),
-            scfg.stream_chunk_bytes,
-            scfg.min_stream_chunks,
-        )
-        if sizes is None:
-            return False
+        with engine.monitor:
+            record.instance(TierLevel.GPU).flush_pending = True
+        if engine.gpudirect:
+            self._forward(record, self.d2h_stream, "d2s", self._flush_d2s)
+        else:
+            sizes = engine.streaming and plan_chunks(
+                record.wire_size(TierLevel.GPU, TierLevel.HOST),
+                engine.config.stream.stream_chunk_bytes,
+                MIN_STREAM_CHUNKS,
+            )
+            if sizes:
+                self._co_submit(record, len(sizes))
+            else:
+                self._forward(record, self.d2h_stream, "d2h", self._flush_d2h)
+        self._m_d2h_depth.set(self.d2h_stream.depth)
+
+    def _forward(self, record: "CheckpointRecord", stream, stage: str, leg) -> None:
+        """Queue one leg of the one-chunk plan."""
+        stream.submit(lambda: leg(record), label=f"{stage}-{record.ckpt_id}")
+
+    def _co_submit(self, record: "CheckpointRecord", chunks: int) -> None:
+        """Submit every leg of a ring plan at once, in cascade order.
+
+        Because every checkpoint submits in the same stage order, the only
+        cross-stage waits are *backward* (consumer on producer of the same
+        checkpoint, producer throttled by its own consumer) — the
+        dependency graph stays acyclic and the co-scheduled workers cannot
+        deadlock.
+        """
+        engine = self.engine
         pipeline = ChunkPipeline(
             record.ckpt_id,
-            len(sizes),
-            scfg.ring_chunks,
+            chunks,
+            RING_CHUNKS,
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
         )
-        pipeline.add_stage("d2h")
-        pipeline.add_stage("h2f")
-        stages = [("d2h", self.d2h_stream, self._stream_d2h),
-                  ("h2f", self.h2f_stream, self._stream_h2f)]
+        legs = [("d2h", self.d2h_stream, self._flush_d2h),
+                ("h2f", self.h2f_stream, self._flush_h2f)]
         if self.f2p_stream is not None:
-            # The PFS upgrade runs as two stages — SSD read-back producing
-            # for the PFS writer — so chunk reads overlap chunk writes.
-            pipeline.add_stage("f2r")
-            pipeline.add_stage("f2p")
-            stages.append(("f2r", self.f2r_stream, self._stream_f2r))
-            stages.append(("f2p", self.f2p_stream, self._stream_f2p))
-        pipeline.retain(len(stages))
+            legs.append(("f2r", self.f2r_stream, self._flush_f2r))
+            legs.append(("f2p", self.f2p_stream, self._flush_f2p))
+        for name, _, _ in legs:
+            pipeline.add_stage(name)
+        pipeline.retain(len(legs))
         self._m_streamed.inc()
-        for name, stream, body in stages:
+        for name, stream, leg in legs:
             event = stream.submit(
-                lambda body=body: body(record, pipeline),
+                lambda leg=leg: leg(record, pipeline),
                 label=f"{name}-{record.ckpt_id}",
             )
             # Event-driven failure propagation: a stage worker that dies
@@ -253,7 +272,6 @@ class Flusher:
                 else None
             )
         self._m_h2f_depth.set(self.h2f_stream.depth)
-        return True
 
     def _request(self, record: "CheckpointRecord"):
         """QoS tag for one flush leg (None when scheduling is off).
@@ -405,9 +423,18 @@ class Flusher:
                 return False
         return store.verify(key)
 
-    def _durable_ssd_put(self, stage: str, record: "CheckpointRecord", payload):
+    def _durable_put(self, stage: str, record: "CheckpointRecord", pipeline, payload):
         """Land ``payload`` durably: the local SSD, or the PFS when the SSD
         is dark (circuit breaker open, outage window) and rerouting is on.
+
+        Chunks are charged on the SSD write link as the upstream stage
+        publishes them; the blob commits, and only then becomes visible,
+        after the last one.  A transient failure retries *the failed
+        chunk*.  Chunk 0's attempts open the put, so each retry of it
+        redraws the tier gate and the at-rest corruption — the one-chunk
+        plan thereby retries exactly like a whole-object ``put()``.  An
+        exhausted retry budget (or an open breaker) reroutes to the PFS,
+        resuming at the failed chunk.
 
         Returns ``"ssd"`` or ``"pfs"`` naming where the blob landed —
         durability, chunk attachment and the journal entry are already
@@ -418,85 +445,126 @@ class Flusher:
         key = engine.store_key(record)
         breaker = engine.ssd._track
         rcfg = engine.config.resilience
+        reroute = engine.resilient and rcfg.reroute and engine.pfs is not None
         op = self._op(record)
         track = self._track_for(stage)
-
-        def put(copy: bool) -> None:
-            engine.ssd.put(
-                key,
-                payload,
-                record.stored_size(TierLevel.SSD),
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                copy=copy,
-                request=self._request(record),
-            )
+        stored = record.stored_size(TierLevel.SSD)
 
         if engine.resilient and not engine.health.allow(breaker):
             # Blacklisted: don't feed the dark tier another doomed write.
-            if rcfg.reroute and engine.pfs is not None:
-                return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
+            if reroute:
+                return self._reroute(stage, record, pipeline, payload, 0)
             self._abandon(stage, record, "ssd circuit breaker open")
             return None
+        handle = None
+        consumed = 0
+
+        def write(chunk: int, nbytes: int) -> None:
+            nonlocal handle, consumed
+            consumed = chunk + 1
+            if chunk == 0:
+                handle = engine.ssd.open_put(
+                    key, stored, int(payload.size), cancelled=record.cancel_flush
+                )
+            handle.write(nbytes, request=self._request(record))
+
         try:
-            # First attempt hands ownership of the snapshot to the store
-            # (copy=False, the historical zero-copy path); re-puts copy.
             with op.stage("ssd-put", CAT_TRANSFER, track=track, tier="ssd"):
-                self._retrying(stage, record, lambda: put(False), breaker=breaker)
+                if not self._chunks(
+                    stage, "ssd", record, pipeline, stored, write, breaker=breaker
+                ):
+                    self._bail(stage, record, "upstream abandoned")
+                    return None
+                # Commit-at-end hands ownership of the snapshot to the store
+                # (copy=False, the zero-copy path); re-puts copy.
+                handle.commit(payload, meta=engine.recovery_meta(record), copy=False)
         except TransientTransferError as exc:
-            if engine.resilient and rcfg.reroute and engine.pfs is not None:
-                return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
+            if reroute:
+                return self._reroute(stage, record, pipeline, payload, consumed)
             self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
             return None
         except TransferError:
             self._abandon(stage, record, "cancelled mid-transfer")
             return None
         if engine.resilient and rcfg.reverify:
-            with op.stage("reverify", CAT_RETRY, track=track, tier="ssd"):
-                verified = self._reverify(
-                    stage, record, engine.ssd, breaker, lambda: put(True)
+
+            def reput() -> None:
+                engine.ssd.put(
+                    key,
+                    payload,
+                    stored,
+                    cancelled=record.cancel_flush,
+                    meta=engine.recovery_meta(record),
+                    copy=True,
+                    request=self._request(record),
                 )
+
+            with op.stage("reverify", CAT_RETRY, track=track, tier="ssd"):
+                verified = self._reverify(stage, record, engine.ssd, breaker, reput)
             if not verified:
                 engine.ssd.delete(key)
                 engine._journal_retract(record, breaker)
-                if rcfg.reroute and engine.pfs is not None:
-                    return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
+                if reroute:
+                    return self._reroute(stage, record, pipeline, payload, pipeline.chunks)
                 self._abandon(stage, record, "persistent corruption on SSD put")
                 return None
         return "ssd"
 
-    def _reroute_to_pfs(self, stage: str, record: "CheckpointRecord", payload) -> bool:
+    def _reroute(
+        self, stage: str, record: "CheckpointRecord", pipeline, payload, consumed: int
+    ):
         """Reroute a durable put around a dark SSD, straight to the PFS.
 
-        On success the record is durable at PFS (journaled, chunks
-        attached) and queued for backfill — a catch-up copy onto the SSD
-        once it returns.  Returns ``False`` after abandoning.
+        The ``consumed`` chunks that already crossed into host staging
+        replay onto the PFS at once; the rest keep streaming against the
+        upstream stage, so consumption resumes at the failed chunk instead
+        of restarting the cascade.  On success the record is durable at the
+        PFS (journaled, chunks attached) and queued for backfill — a
+        catch-up copy onto the SSD once it returns.  Returns ``"pfs"``, or
+        ``None`` after abandoning.
         """
         engine = self.engine
         pfs = engine.pfs
         key = engine.store_key(record)
         rcfg = engine.config.resilience
         op = self._op(record)
+        track = self._track_for(stage)
+        self._skip_upgrade(pipeline)  # the blob is going to the PFS now
         self.rerouted += 1
         self._m_reroutes.inc()
         self.telemetry.bus.instant(
             "flush-reroute",
-            self._track_for(stage),
+            track,
             op_id=op.op_id,
             ckpt=record.ckpt_id,
             stage=stage,
+            chunk=consumed,
         )
         log.info(
             "p%d: rerouting %s flush of checkpoint %d around the dark SSD "
-            "to the PFS",
-            engine.process_id, stage, record.ckpt_id,
+            "to the PFS at chunk %d/%d",
+            engine.process_id, stage, record.ckpt_id, consumed, pipeline.chunks,
         )
+        stored = record.stored_size(TierLevel.PFS)
+        handle = None
 
-        def put() -> None:
+        def write(chunk: int, nbytes: int) -> None:
+            nonlocal handle
+            if chunk == 0:
+                handle = pfs.open_put(
+                    key,
+                    stored,
+                    int(payload.size),
+                    node_id=engine.node_id,
+                    cancelled=record.cancel_flush,
+                )
+            handle.write(nbytes, request=self._request(record))
+
+        def reput() -> None:
             pfs.put(
                 key,
                 payload,
-                record.stored_size(TierLevel.PFS),
+                stored,
                 node_id=engine.node_id,
                 cancelled=record.cancel_flush,
                 meta=engine.recovery_meta(record),
@@ -505,20 +573,24 @@ class Flusher:
 
         reroute_stage = f"{stage}-reroute"
         try:
-            with op.stage(
-                "reroute", CAT_REROUTE, track=self._track_for(stage), tier="pfs"
-            ):
-                self._retrying(reroute_stage, record, put, breaker="pfs")
+            with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
+                if not self._chunks(
+                    stage, "pfs", record, pipeline, stored, write,
+                    breaker="pfs", retry_stage=reroute_stage,
+                ):
+                    self._bail(stage, record, "upstream abandoned")
+                    return None
+                handle.commit(payload, meta=engine.recovery_meta(record))
                 if rcfg.reverify and not self._reverify(
-                    reroute_stage, record, pfs, "pfs", put
+                    reroute_stage, record, pfs, "pfs", reput
                 ):
                     pfs.delete(key)
                     engine._journal_retract(record, "pfs")
                     self._abandon(stage, record, "persistent corruption on PFS reroute")
-                    return False
+                    return None
         except TransferError as exc:
             self._abandon(stage, record, f"PFS reroute failed ({type(exc).__name__})")
-            return False
+            return None
         first_durable = False
         with engine.monitor:
             if record.durable_level is None or record.durable_level < TierLevel.PFS:
@@ -533,7 +605,7 @@ class Flusher:
         if rcfg.backfill:
             with self._backfill_lock:
                 self._backfill.append(record)
-        return True
+        return "pfs"
 
     def _drain_backfill(self) -> None:
         """Catch-up copies for rerouted records once the SSD returns.
@@ -609,89 +681,159 @@ class Flusher:
                 ckpt=record.ckpt_id,
             )
 
-    # -- stages --------------------------------------------------------------
-    def _flush_d2h(self, record: "CheckpointRecord") -> None:
-        engine = self.engine
-        if engine.crashed.is_set():
-            return  # the incarnation is dead; drop queued work
-        engine._maybe_crash("before-d2h", record)
-        started = engine.clock.now()
-        op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["d2h"])
-        with engine.monitor:
-            gpu_inst = record.peek(TierLevel.GPU)
-            if record.discarded or gpu_inst is None:
-                if gpu_inst is not None:
-                    gpu_inst.flush_pending = False
-                self._abandon("d2h", record, "discarded or already evicted")
-                engine.monitor.notify_all()
-                return
-        # Snapshot the bytes, then release the instance for eviction.
-        try:
-            payload = engine.gpu_cache.read_payload(record)
-        except AllocationError:
-            # Discarded and evicted between the check and the snapshot.
-            self._abandon("d2h", record, "evicted during payload snapshot")
-            return
-        with engine.monitor:
-            gpu_inst.flush_pending = False
-            engine.monitor.notify_all()
-        if (
-            engine.reducer is not None
-            and engine.reducer.site == "host"
-            and record.reduction is None
-        ):
-            # Host-site reduction: encode off the application's critical
-            # path, on this flush thread, before the host placement — the
-            # host cache and everything below hold the physical form.
-            with op.stage("encode", CAT_REDUCE, track=self._tracks["d2h"]):
-                engine.reducer.encode(record, payload)
-        wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
-        # Claim host cache space (blocks for evictions as needed).
-        with op.stage("reserve-host", CAT_RESERVE, track=self._tracks["d2h"]):
-            engine.host_cache.reserve(
-                record, CkptState.WRITE_IN_PROGRESS, blocking=True
-            )
-        with self.telemetry.bus.span(
-            "d2h",
-            self._tracks["d2h"],
+    # -- leg helpers ---------------------------------------------------------
+    def _bail(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
+        """Quiet abandonment of a ring leg whose neighbour already
+        abandoned (and counted) the flush — log only, no double-count."""
+        log.debug(
+            "p%d: streamed %s leg of checkpoint %d bailing (%s)",
+            self.engine.process_id, stage, record.ckpt_id, reason,
+        )
+
+    def _chunk_span(
+        self,
+        stage: str,
+        tier: str,
+        record: "CheckpointRecord",
+        chunk: int,
+        nbytes: int,
+        t0: float,
+    ) -> None:
+        """One chunk slice, nested under the stage span on the same track."""
+        self.telemetry.bus.complete(
+            f"{stage}-chunk",
+            self._track_for(stage),
+            t0,
+            self.engine.clock.now() - t0,
             ckpt=record.ckpt_id,
-            bytes=wire,
-            **self._causal(op, "pcie"),
-        ) as span:
+            chunk=chunk,
+            bytes=nbytes,
+            **self._causal(self._op(record), tier),
+        )
+
+    def _account_stream(self, pipeline: ChunkPipeline) -> None:
+        """Roll one finished pipeline into the occupancy gauges."""
+        with self._stream_lock:
+            self._stream_active_s += pipeline.active_s
+            self._stream_overlap_s += pipeline.overlap_s
+            active = self._stream_active_s
+            overlap = self._stream_overlap_s
+            for stage, stalled in pipeline.stall_s.items():
+                gauge = self._m_stall.get(stage)
+                if gauge is not None and stalled > 0:
+                    gauge.add(stalled)
+        if active > 0:
+            self._m_overlap.set(overlap / active)
+
+    def _settle(self, stage: str, pipeline, ok: bool) -> None:
+        """Leg exit: fail the stage unless it completed; the last ring
+        worker out rolls its pipeline into the occupancy gauges."""
+        if not ok:
+            pipeline.fail(stage)
+        if pipeline.release():
+            self._account_stream(pipeline)
+
+    def _skip_upgrade(self, pipeline) -> None:
+        """The PFS upgrade will not run (the durable hop failed, or a
+        reroute landed the blob on the PFS already)."""
+        if self.f2p_stream is not None:
+            pipeline.skip("f2r")
+            pipeline.skip("f2p")
+
+    def _chunks(
+        self,
+        stage: str,
+        tier: str,
+        record: "CheckpointRecord",
+        pipeline,
+        total: int,
+        step,
+        *,
+        breaker: Optional[str] = None,
+        retry_stage: Optional[str] = None,
+    ) -> bool:
+        """Move ``total`` nominal bytes through ``pipeline``, one chunk per
+        ``step(chunk, nbytes)`` call, each retried on its own.
+
+        A chunk waits for the upstream stage to publish it and for room in
+        the ring downstream.  ``False`` when the upstream stage failed (or
+        this stage was skipped) before every chunk moved; the one-chunk
+        plan makes a single whole-object step with no waits.
+        """
+        engine = self.engine
+        for chunk, nbytes in enumerate(chunk_sizes_for(total, pipeline.chunks)):
+            if not pipeline.await_upstream(stage, chunk) or pipeline.skipped(stage):
+                return False
+            if not pipeline.throttle(stage, chunk):
+                raise TransferError("stream interrupted")
+            t0 = engine.clock.now()
+            pipeline.enter_chunk()
             try:
                 self._retrying(
-                    "d2h",
+                    retry_stage or stage,
                     record,
-                    lambda: engine.device.d2h_link.transfer(
-                        wire,
-                        cancelled=record.cancel_flush,
-                        request=self._request(record),
-                    ),
+                    lambda chunk=chunk, nbytes=nbytes: step(chunk, nbytes),
+                    breaker=breaker,
                 )
-            except TransferError:
-                span.add(abandoned=True)
-                # Abandon: release the half-written host extent.
-                engine.host_cache.release(record)
-                self._abandon("d2h", record, "cancelled mid-transfer")
-                return
-        self._m_bytes["d2h"].inc(wire)
-        if engine._reduced_at(record, TierLevel.HOST):
-            engine.host_cache.write_payload(
-                record, engine.reducer.physical_payload(record)
-            )
-        else:
-            engine.host_cache.write_payload(record, payload)
+            finally:
+                pipeline.exit_chunk()
+            if pipeline is not SERIAL:  # a whole-object stage span is its own chunk
+                self._chunk_span(stage, tier, record, chunk, nbytes, t0)
+            pipeline.publish(stage, chunk)
+        return True
+
+    def _snapshot(self, stage: str, record: "CheckpointRecord", level: TierLevel, cache):
+        """Leg preamble: copy the payload out of ``level``'s cache, then
+        unpin the instance so it may be evicted mid-flight.  ``None`` after
+        abandoning a discarded or already-evicted source."""
+        engine = self.engine
         with engine.monitor:
-            host_inst = record.instance(TierLevel.HOST)
-            host_inst.transition(CkptState.WRITE_COMPLETE, engine.clock.now())
-            host_inst.flush_pending = True
-            if engine._reduced_at(record, TierLevel.HOST):
-                engine.reducer.attach(record, TierLevel.HOST)
-            gpu_now = record.peek(TierLevel.GPU)
-            if gpu_now is not None:
-                gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
+            inst = record.peek(level)
+            if record.discarded or inst is None:
+                if inst is not None:
+                    inst.flush_pending = False
+                self._abandon(stage, record, "discarded or already evicted")
+                engine.monitor.notify_all()
+                return None
+        try:
+            payload = cache.read_payload(record)
+        except AllocationError:
+            # Discarded and evicted between the check and the snapshot.
+            self._abandon(stage, record, "evicted during payload snapshot")
+            return None
+        with engine.monitor:
+            inst.flush_pending = False
             engine.monitor.notify_all()
+        return payload
+
+    def _landed(
+        self, stage: str, record: "CheckpointRecord", outcome: str, source: TierLevel
+    ) -> None:
+        """Durable-put epilogue: an SSD landing makes the record durable
+        there (a reroute committed the PFS itself); either way the source
+        copy is unpinned and ``FLUSHED``."""
+        engine = self.engine
+        first_durable = False
+        with engine.monitor:
+            if outcome == "ssd":
+                if record.durable_level is None or record.durable_level < TierLevel.SSD:
+                    first_durable = record.durable_level is None
+                    record.durable_level = TierLevel.SSD
+                if engine._reduced_at(record, TierLevel.SSD):
+                    engine.reducer.attach(record, TierLevel.SSD)
+            src = record.peek(source)
+            if src is not None:
+                src.flush_pending = False
+                src.try_transition(CkptState.FLUSHED, engine.clock.now())
+            engine.monitor.notify_all()
+        if outcome == "ssd":
+            engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
+            if first_durable:
+                self._mark_durable(record, self._op(record), stage, TierLevel.SSD)
+
+    def _record_flush(self, record: "CheckpointRecord", started: float) -> None:
+        """One FLUSH op event for the leg that took the GPU copy."""
+        engine = self.engine
         engine.recorder.record(
             OpEvent(
                 kind=OpKind.FLUSH,
@@ -702,12 +844,95 @@ class Flusher:
                 source_level=TierLevel.GPU.name,
             )
         )
-        engine._maybe_crash("after-d2h", record)
-        self.h2f_stream.submit(lambda: self._flush_h2f(record), label=f"h2f-{record.ckpt_id}")
-        self._m_h2f_depth.set(self.h2f_stream.depth)
+
+    # -- legs ----------------------------------------------------------------
+    def _flush_d2h(self, record: "CheckpointRecord", pipeline=SERIAL) -> None:
+        """GPU cache → host cache over PCIe; the producer of a ring."""
+        engine = self.engine
+        ok = False
+        try:
+            if engine.crashed.is_set():
+                return  # the incarnation is dead; drop queued work
+            engine._maybe_crash("before-d2h", record)
+            started = engine.clock.now()
+            op = self._op(record)
+            op.fill("flush-queue", track=self._tracks["d2h"])
+            payload = self._snapshot("d2h", record, TierLevel.GPU, engine.gpu_cache)
+            if payload is None:
+                return
+            if (
+                engine.reducer is not None
+                and engine.reducer.site == "host"
+                and record.reduction is None
+            ):
+                # Host-site reduction: encode off the application's critical
+                # path, on this flush thread, before the host placement — the
+                # host cache and everything below hold the physical form.
+                with op.stage("encode", CAT_REDUCE, track=self._tracks["d2h"]):
+                    engine.reducer.encode(record, payload)
+            if engine._reduced_at(record, TierLevel.HOST):
+                payload = engine.reducer.physical_payload(record)
+            if pipeline is not SERIAL:
+                # Consumers charge their links against our published chunks
+                # instead of waiting for the host copy to land.
+                pipeline.payload = payload
+            wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
+            # Claim host cache space (blocks for evictions as needed).
+            with op.stage("reserve-host", CAT_RESERVE, track=self._tracks["d2h"]):
+                engine.host_cache.reserve(
+                    record, CkptState.WRITE_IN_PROGRESS, blocking=True
+                )
+            with self.telemetry.bus.span(
+                "d2h",
+                self._tracks["d2h"],
+                ckpt=record.ckpt_id,
+                bytes=wire,
+                chunks=pipeline.chunks,
+                **self._causal(op, "pcie"),
+            ) as span:
+                try:
+                    self._chunks(
+                        "d2h", "pcie", record, pipeline, wire,
+                        lambda _, nbytes: engine.device.d2h_link.transfer(
+                            nbytes,
+                            cancelled=record.cancel_flush,
+                            request=self._request(record),
+                        ),
+                    )
+                except TransferError:
+                    span.add(abandoned=True)
+                    # Abandon: release the half-written host extent.
+                    engine.host_cache.release(record)
+                    self._abandon("d2h", record, "cancelled mid-transfer")
+                    return
+            self._m_bytes["d2h"].inc(wire)
+            engine.host_cache.write_payload(record, payload)
+            with engine.monitor:
+                host_inst = record.instance(TierLevel.HOST)
+                host_inst.transition(CkptState.WRITE_COMPLETE, engine.clock.now())
+                host_inst.flush_pending = True
+                if engine._reduced_at(record, TierLevel.HOST):
+                    engine.reducer.attach(record, TierLevel.HOST)
+                gpu_now = record.peek(TierLevel.GPU)
+                if gpu_now is not None:
+                    gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
+                engine.monitor.notify_all()
+            self._record_flush(record, started)
+            engine._maybe_crash("after-d2h", record)
+            pipeline.finish("d2h")
+            ok = True
+            if pipeline is SERIAL:
+                self._forward(record, self.h2f_stream, "h2f", self._flush_h2f)
+        finally:
+            self._settle("d2h", pipeline, ok)
+            self._m_h2f_depth.set(self.h2f_stream.depth)
 
     def _flush_d2s(self, record: "CheckpointRecord") -> None:
-        """GPUDirect storage flush: GPU cache → SSD, no host staging."""
+        """GPUDirect storage flush: GPU cache → SSD, no host staging.
+
+        Always the one-chunk plan: the DMA and the drive commit are one
+        store-and-forward hop.
+        """
         engine = self.engine
         if engine.crashed.is_set():
             return
@@ -715,22 +940,9 @@ class Flusher:
         started = engine.clock.now()
         op = self._op(record)
         op.fill("flush-queue", track=self._tracks["d2s"])
-        with engine.monitor:
-            gpu_inst = record.peek(TierLevel.GPU)
-            if record.discarded or gpu_inst is None:
-                if gpu_inst is not None:
-                    gpu_inst.flush_pending = False
-                self._abandon("d2s", record, "discarded or already evicted")
-                engine.monitor.notify_all()
-                return
-        try:
-            payload = engine.gpu_cache.read_payload(record)
-        except AllocationError:
-            self._abandon("d2s", record, "evicted during payload snapshot")
+        payload = self._snapshot("d2s", record, TierLevel.GPU, engine.gpu_cache)
+        if payload is None:
             return
-        with engine.monitor:
-            gpu_inst.flush_pending = False
-            engine.monitor.notify_all()
         wire = record.wire_size(TierLevel.GPU, TierLevel.SSD)
         with self.telemetry.bus.span(
             "d2s",
@@ -754,112 +966,94 @@ class Flusher:
                 span.add(abandoned=True)
                 self._abandon("d2s", record, "cancelled mid-transfer")
                 return
-            outcome = self._durable_ssd_put("d2s", record, payload)
+            outcome = self._durable_put("d2s", record, SERIAL, payload)
             if outcome is None:
                 span.add(abandoned=True)
                 return
             if outcome == "pfs":
                 span.add(rerouted=True)
         self._m_bytes["d2s"].inc(wire)
-        first_durable = False
-        with engine.monitor:
-            if outcome == "ssd":
-                if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                    first_durable = record.durable_level is None
-                    record.durable_level = TierLevel.SSD
-                if engine._reduced_at(record, TierLevel.SSD):
-                    engine.reducer.attach(record, TierLevel.SSD)
-            gpu_now = record.peek(TierLevel.GPU)
-            if gpu_now is not None:
-                gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
-        if outcome == "ssd":
-            engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-            if first_durable:
-                self._mark_durable(record, op, "d2s", TierLevel.SSD)
-        engine.recorder.record(
-            OpEvent(
-                kind=OpKind.FLUSH,
-                ckpt_id=record.ckpt_id,
-                started_at=started,
-                blocked=engine.clock.now() - started,
-                nominal_bytes=record.nominal_size,
-                source_level=TierLevel.GPU.name,
-            )
-        )
+        self._landed("d2s", record, outcome, TierLevel.GPU)
+        self._record_flush(record, started)
         engine._maybe_crash("after-d2s", record)
         if outcome == "ssd":
             self._drain_backfill()
             if self.f2p_stream is not None:
-                self.f2p_stream.submit(
-                    lambda: self._flush_f2p(record), label=f"f2p-{record.ckpt_id}"
-                )
+                self._forward(record, self.f2p_stream, "f2p", self._flush_f2p)
 
-    def _flush_h2f(self, record: "CheckpointRecord") -> None:
+    def _flush_h2f(self, record: "CheckpointRecord", pipeline=SERIAL) -> None:
+        """The durable hop: host cache → SSD (or the PFS around a dark SSD)."""
         engine = self.engine
-        if engine.crashed.is_set():
-            return
-        engine._maybe_crash("before-h2f", record)
-        op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["h2f"])
-        with engine.monitor:
-            host_inst = record.peek(TierLevel.HOST)
-            if record.discarded or host_inst is None:
-                if host_inst is not None:
-                    host_inst.flush_pending = False
-                self._abandon("h2f", record, "discarded or already evicted")
-                engine.monitor.notify_all()
-                return
+        ok = False
         try:
-            payload = engine.host_cache.read_payload(record)
-        except AllocationError:
-            self._abandon("h2f", record, "evicted during payload snapshot")
-            return
-        with engine.monitor:
-            host_inst.flush_pending = False
-            engine.monitor.notify_all()
-        wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
-        with self.telemetry.bus.span(
-            "h2f",
-            self._tracks["h2f"],
-            ckpt=record.ckpt_id,
-            bytes=wire,
-            **self._causal(op, "ssd"),
-        ) as span:
-            outcome = self._durable_ssd_put("h2f", record, payload)
-            if outcome is None:
-                span.add(abandoned=True)
+            if engine.crashed.is_set():
                 return
-            if outcome == "pfs":
-                span.add(rerouted=True)
-        self._m_bytes["h2f"].inc(wire)
-        first_durable = False
-        with engine.monitor:
+            # A ring's sizes and payload settle once the producer has run
+            # its preamble (host-site encode): wait for its opening chunk.
+            if not pipeline.await_upstream("h2f", 0):
+                self._bail("h2f", record, "upstream abandoned")
+                return
+            engine._maybe_crash("before-h2f", record)
+            op = self._op(record)
+            op.fill("flush-queue", track=self._tracks["h2f"])
+            if pipeline is SERIAL:
+                payload = self._snapshot("h2f", record, TierLevel.HOST, engine.host_cache)
+                if payload is None:
+                    return
+            else:
+                # The host copy lands only when the producer commits: take
+                # its handoff instead; the host extent stays pinned until
+                # this leg settles.
+                with engine.monitor:
+                    if record.discarded:
+                        self._abandon("h2f", record, "discarded mid-stream")
+                        return
+                payload = pipeline.payload
+            wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
+            with self.telemetry.bus.span(
+                "h2f",
+                self._tracks["h2f"],
+                ckpt=record.ckpt_id,
+                bytes=wire,
+                chunks=pipeline.chunks,
+                **self._causal(op, "ssd"),
+            ) as span:
+                outcome = self._durable_put("h2f", record, pipeline, payload)
+                if outcome is None:
+                    span.add(abandoned=True)
+                    return
+                if outcome == "pfs":
+                    span.add(rerouted=True)
+            # The producer's epilogue owns the host instance's
+            # WRITE_COMPLETE transition; settle it before flipping FLUSHED.
+            if not pipeline.await_finished("h2f", "d2h"):
+                self._bail("h2f", record, "producer failed post-commit")
+                return
+            self._m_bytes["h2f"].inc(wire)
+            self._landed("h2f", record, outcome, TierLevel.HOST)
+            engine._maybe_crash("after-h2f", record)
+            pipeline.finish("h2f")
+            ok = True
             if outcome == "ssd":
-                if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                    first_durable = record.durable_level is None
-                    record.durable_level = TierLevel.SSD
-                if engine._reduced_at(record, TierLevel.SSD):
-                    engine.reducer.attach(record, TierLevel.SSD)
-            host_now = record.peek(TierLevel.HOST)
-            if host_now is not None:
-                host_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
-        if outcome == "ssd":
-            engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-            if first_durable:
-                self._mark_durable(record, op, "h2f", TierLevel.SSD)
-        engine._maybe_crash("after-h2f", record)
-        if outcome == "ssd":
-            self._drain_backfill()
-            if self.repl_stream is not None:
-                self.repl_stream.submit(
-                    lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
-                )
-            if self.f2p_stream is not None:
-                self.f2p_stream.submit(
-                    lambda: self._flush_f2p(record), label=f"f2p-{record.ckpt_id}"
-                )
+                self._drain_backfill()
+                if self.repl_stream is not None:
+                    self.repl_stream.submit(
+                        lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
+                    )
+                if pipeline is SERIAL and self.f2p_stream is not None:
+                    self._forward(record, self.f2p_stream, "f2p", self._flush_f2p)
+        finally:
+            if not ok:
+                self._skip_upgrade(pipeline)
+                # A ring's producer pinned the host copy for us; an
+                # abandoned durable hop must unpin it or it is unevictable
+                # forever.
+                with engine.monitor:
+                    host_now = record.peek(TierLevel.HOST)
+                    if host_now is not None and host_now.flush_pending:
+                        host_now.flush_pending = False
+                        engine.monitor.notify_all()
+            self._settle("h2f", pipeline, ok)
 
     def _replicate(self, record: "CheckpointRecord") -> None:
         """Copy the durable checkpoint to its replica targets' SSDs.
@@ -930,592 +1124,48 @@ class Flusher:
             engine._journal_commit(record, TierLevel.SSD, target_ssd._track)
         engine._maybe_crash("after-repl", record)
 
-    def _flush_f2p(self, record: "CheckpointRecord") -> None:
-        engine = self.engine
-        if engine.crashed.is_set():
-            return
-        engine._maybe_crash("before-f2p", record)
-        op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["f2p"])
-        with engine.monitor:
-            if record.discarded:
-                self._abandon("f2p", record, "discarded before PFS flush")
-                return
-        pfs = engine.pfs
-        if pfs is None:
-            return
-        if engine.resilient and not engine.health.allow("pfs"):
-            # The SSD copy is already durable; skip the dark PFS rather
-            # than feed its breaker another doomed upgrade write.
-            self._abandon("f2p", record, "pfs circuit breaker open")
-            return
-        key = engine.store_key(record)
-        stored = record.stored_size(TierLevel.PFS)
-        wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
-        with self.telemetry.bus.span(
-            "f2p",
-            self._tracks["f2p"],
-            ckpt=record.ckpt_id,
-            bytes=wire,
-            **self._causal(op, "pfs"),
-        ) as span:
-            try:
-                # This SSD read-back shares the read link with demand
-                # restores — the QoS tag keeps it behind them.  Retried
-                # separately from the PFS write so an SSD failure never
-                # counts against the PFS breaker.
-                with op.stage(
-                    "read-back", CAT_TRANSFER, track=self._tracks["f2p"], tier="ssd"
-                ):
-                    payload, _ = self._retrying(
-                        "f2p",
-                        record,
-                        lambda: engine.ssd.get(key, request=self._request(record)),
-                    )
-            except TransferError:
-                span.add(abandoned=True)
-                self._abandon("f2p", record, "cancelled mid-transfer")
-                return
+    def _read_back(self, record: "CheckpointRecord", pipeline, track: str):
+        """The SSD read-back of the PFS upgrade: the payload, or ``None``
+        after abandoning (or once a ring's upgrade was skipped).
 
-            def put() -> None:
-                # Routed through the fabric's per-node write aggregator when
-                # the cluster is enabled (concurrent whole-object flushes
-                # coalesce into one batched PFS commit); the direct store
-                # call otherwise. Reroute/backfill and the streamed cascade
-                # stay unaggregated: their chunk pacing and failure
-                # semantics are per-object by design.
-                engine._pfs_put(
-                    key,
-                    payload,
-                    stored,
-                    cancelled=record.cancel_flush,
-                    meta=engine.recovery_meta(record),
-                    request=self._request(record),
-                )
-
-            try:
-                self._retrying("f2p", record, put, breaker="pfs")
-            except TransferError:
-                span.add(abandoned=True)
-                self._abandon("f2p", record, "cancelled mid-transfer")
-                return
-            if engine.resilient and engine.config.resilience.reverify:
-                with op.stage(
-                    "reverify", CAT_RETRY, track=self._tracks["f2p"], tier="pfs"
-                ):
-                    verified = self._reverify("f2p", record, pfs, "pfs", put)
-                if not verified:
-                    pfs.delete(key)
-                    engine._journal_retract(record, "pfs")
-                    span.add(abandoned=True)
-                    self._abandon("f2p", record, "persistent corruption on PFS put")
-                    return
-        self._m_bytes["f2p"].inc(wire)
-        with engine.monitor:
-            record.durable_level = TierLevel.PFS
-            if engine._reduced_at(record, TierLevel.PFS):
-                engine.reducer.attach(record, TierLevel.PFS)
-            engine.monitor.notify_all()
-        engine._journal_commit(record, TierLevel.PFS, "pfs")
-        engine._maybe_crash("after-f2p", record)
-
-    # -- streamed stages ------------------------------------------------------
-    # The pipelined counterparts of the store-and-forward stages above.  A
-    # stage keeps its legacy preamble (discard checks, crash points) and
-    # epilogue (state transitions, journal commits) verbatim; only the
-    # middle changes: the single whole-object link charge becomes a loop of
-    # chunk charges interleaved with the neighbouring stages through the
-    # checkpoint's ChunkPipeline.  Payload *bytes* still move and commit
-    # whole-object — a torn stream leaves nothing on any tier, so the
-    # manifest journal's crash consistency is untouched.
-
-    def _stream_bail(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
-        """Quiet abandonment of a streamed leg whose upstream already
-        abandoned (and counted) the flush — log only, no double-count."""
-        log.debug(
-            "p%d: streamed %s leg of checkpoint %d bailing (%s)",
-            self.engine.process_id, stage, record.ckpt_id, reason,
-        )
-
-    def _chunk_span(
-        self,
-        stage: str,
-        tier: str,
-        record: "CheckpointRecord",
-        chunk: int,
-        nbytes: int,
-        t0: float,
-    ) -> None:
-        """One chunk slice, nested under the stage span on the same track."""
-        self.telemetry.bus.complete(
-            f"{stage}-chunk",
-            self._track_for(stage),
-            t0,
-            self.engine.clock.now() - t0,
-            ckpt=record.ckpt_id,
-            chunk=chunk,
-            bytes=nbytes,
-            **self._causal(self._op(record), tier),
-        )
-
-    def _account_stream(self, pipeline: ChunkPipeline) -> None:
-        """Roll one finished pipeline into the occupancy gauges."""
-        with self._stream_lock:
-            self._stream_active_s += pipeline.active_s
-            self._stream_overlap_s += pipeline.overlap_s
-            active = self._stream_active_s
-            overlap = self._stream_overlap_s
-            for stage, stalled in pipeline.stall_s.items():
-                gauge = self._m_stall.get(stage)
-                if gauge is not None and stalled > 0:
-                    gauge.add(stalled)
-        if active > 0:
-            self._m_overlap.set(overlap / active)
-
-    def _stream_d2h(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed D2H: produce chunks into the pipeline as they cross PCIe."""
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            engine._maybe_crash("before-d2h", record)
-            started = engine.clock.now()
-            op = self._op(record)
-            op.fill("flush-queue", track=self._tracks["d2h"])
-            with engine.monitor:
-                gpu_inst = record.peek(TierLevel.GPU)
-                if record.discarded or gpu_inst is None:
-                    if gpu_inst is not None:
-                        gpu_inst.flush_pending = False
-                    self._abandon("d2h", record, "discarded or already evicted")
-                    engine.monitor.notify_all()
-                    return
-            try:
-                payload = engine.gpu_cache.read_payload(record)
-            except AllocationError:
-                self._abandon("d2h", record, "evicted during payload snapshot")
-                return
-            with engine.monitor:
-                gpu_inst.flush_pending = False
-                engine.monitor.notify_all()
-            if (
-                engine.reducer is not None
-                and engine.reducer.site == "host"
-                and record.reduction is None
-            ):
-                with op.stage("encode", CAT_REDUCE, track=self._tracks["d2h"]):
-                    engine.reducer.encode(record, payload)
-            # Hand the post-encode physical payload to the consumers up
-            # front: they charge their links chunk-by-chunk against our
-            # published completions instead of waiting for the host copy.
-            if engine._reduced_at(record, TierLevel.HOST):
-                pipeline.payload = engine.reducer.physical_payload(record)
-            else:
-                pipeline.payload = payload
-            wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
-            with op.stage("reserve-host", CAT_RESERVE, track=self._tracks["d2h"]):
-                engine.host_cache.reserve(
-                    record, CkptState.WRITE_IN_PROGRESS, blocking=True
-                )
-            sizes = chunk_sizes_for(wire, pipeline.chunks)
-            with self.telemetry.bus.span(
-                "d2h",
-                self._tracks["d2h"],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "pcie"),
-            ) as span:
-                try:
-                    for i, nbytes in enumerate(sizes):
-                        if not pipeline.throttle("d2h", i):
-                            raise TransferError("stream interrupted")
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            self._retrying(
-                                "d2h",
-                                record,
-                                lambda nb=nbytes: engine.device.d2h_link.transfer(
-                                    nb,
-                                    cancelled=record.cancel_flush,
-                                    request=self._request(record),
-                                ),
-                            )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("d2h", "pcie", record, i, nbytes, t0)
-                        pipeline.publish("d2h", i)
-                except TransferError:
-                    span.add(abandoned=True)
-                    engine.host_cache.release(record)
-                    self._abandon("d2h", record, "cancelled mid-transfer")
-                    return
-            self._m_bytes["d2h"].inc(wire)
-            engine.host_cache.write_payload(record, pipeline.payload)
-            with engine.monitor:
-                host_inst = record.instance(TierLevel.HOST)
-                host_inst.transition(CkptState.WRITE_COMPLETE, engine.clock.now())
-                host_inst.flush_pending = True
-                if engine._reduced_at(record, TierLevel.HOST):
-                    engine.reducer.attach(record, TierLevel.HOST)
-                gpu_now = record.peek(TierLevel.GPU)
-                if gpu_now is not None:
-                    gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-                engine.monitor.notify_all()
-            engine.recorder.record(
-                OpEvent(
-                    kind=OpKind.FLUSH,
-                    ckpt_id=record.ckpt_id,
-                    started_at=started,
-                    blocked=engine.clock.now() - started,
-                    nominal_bytes=record.nominal_size,
-                    source_level=TierLevel.GPU.name,
-                )
-            )
-            engine._maybe_crash("after-d2h", record)
-            pipeline.finish("d2h")
-            ok = True
-        finally:
-            if not ok:
-                pipeline.fail("d2h")
-            if pipeline.release():
-                self._account_stream(pipeline)
-            self._m_h2f_depth.set(self.h2f_stream.depth)
-
-    def _stream_h2f(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed durable hop: consume D2H chunks, charge the SSD per
-        chunk, commit-at-end; reroutes to the PFS resume at the failed chunk."""
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            op = self._op(record)
-            op.fill("flush-queue", track=self._tracks["h2f"])
-            # The preamble needs the post-encode payload and wire sizes, so
-            # first wait for the producer to publish its opening chunk.
-            if not pipeline.await_upstream("h2f", 0):
-                self._stream_bail("h2f", record, "upstream abandoned")
-                return
-            engine._maybe_crash("before-h2f", record)
-            with engine.monitor:
-                if record.discarded:
-                    host_inst = record.peek(TierLevel.HOST)
-                    if host_inst is not None:
-                        host_inst.flush_pending = False
-                    self._abandon("h2f", record, "discarded mid-stream")
-                    engine.monitor.notify_all()
-                    return
-            payload = pipeline.payload
-            wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
-            with self.telemetry.bus.span(
-                "h2f",
-                self._tracks["h2f"],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "ssd"),
-            ) as span:
-                outcome = self._stream_durable_put(record, pipeline, payload, wire)
-                if outcome is None:
-                    span.add(abandoned=True)
-                    return
-                if outcome == "pfs":
-                    span.add(rerouted=True)
-            # The producer's epilogue owns the host instance's
-            # WRITE_COMPLETE transition; settle it before flipping FLUSHED.
-            if not pipeline.await_finished("h2f", "d2h"):
-                self._stream_bail("h2f", record, "producer failed post-commit")
-                return
-            self._m_bytes["h2f"].inc(wire)
-            pipeline.ssd_outcome = outcome
-            first_durable = False
-            with engine.monitor:
-                if outcome == "ssd":
-                    if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                        first_durable = record.durable_level is None
-                        record.durable_level = TierLevel.SSD
-                    if engine._reduced_at(record, TierLevel.SSD):
-                        engine.reducer.attach(record, TierLevel.SSD)
-                host_now = record.peek(TierLevel.HOST)
-                if host_now is not None:
-                    host_now.flush_pending = False
-                    host_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-                engine.monitor.notify_all()
-            if outcome == "ssd":
-                engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-                if first_durable:
-                    self._mark_durable(record, op, "h2f", TierLevel.SSD)
-            engine._maybe_crash("after-h2f", record)
-            pipeline.finish("h2f")
-            ok = True
-            if outcome == "ssd":
-                self._drain_backfill()
-                if self.repl_stream is not None:
-                    self.repl_stream.submit(
-                        lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
-                    )
-        finally:
-            if not ok:
-                pipeline.fail("h2f")
-                if self.f2p_stream is not None:
-                    pipeline.skip("f2r")
-                    pipeline.skip("f2p")
-                # The producer's epilogue pinned the host copy for us; an
-                # abandoned durable hop must unpin it or it is unevictable
-                # forever (legacy h2f unpinned right after its snapshot).
-                with engine.monitor:
-                    host_now = record.peek(TierLevel.HOST)
-                    if host_now is not None and host_now.flush_pending:
-                        host_now.flush_pending = False
-                        engine.monitor.notify_all()
-            if pipeline.release():
-                self._account_stream(pipeline)
-
-    def _stream_durable_put(
-        self, record: "CheckpointRecord", pipeline: ChunkPipeline, payload, wire: int
-    ):
-        """Streamed analogue of :meth:`_durable_ssd_put`.
-
-        Chunks are charged on the SSD write link as the producer publishes
-        them; the blob commits (and only then becomes visible) after the
-        last chunk.  A transient failure retries *the failed chunk*; an
-        exhausted retry budget (or an open breaker) reroutes the stream to
-        the PFS, resuming at the failed chunk — upstream chunks are not
-        re-transferred.  Returns ``"ssd"``/``"pfs"``/``None`` like the
-        store-and-forward version.
+        Retried apart from the PFS write, so an SSD failure never counts
+        against the PFS breaker; its QoS tag keeps it behind the demand
+        restores sharing the read link.
         """
         engine = self.engine
         key = engine.store_key(record)
-        breaker = engine.ssd._track
-        rcfg = engine.config.resilience
-        op = self._op(record)
-        track = self._track_for("h2f")
-        stored = record.stored_size(TierLevel.SSD)
+        total = record.stored_size(TierLevel.SSD)
+        reader = None
 
-        if engine.resilient and not engine.health.allow(breaker):
-            if rcfg.reroute and engine.pfs is not None:
-                return (
-                    "pfs"
-                    if self._stream_reroute(record, pipeline, payload, consumed=0)
-                    else None
+        def read(chunk: int, nbytes: int) -> None:
+            nonlocal reader
+            if chunk == 0:
+                # A ring reads while the SSD put is still uncommitted (the
+                # drive streams its write buffer through), so it names the
+                # size instead of looking the blob up, and takes its bytes
+                # from the producer's handoff.
+                reader = engine.ssd.open_get(
+                    key, nominal_size=None if pipeline is SERIAL else total
                 )
-            self._abandon("h2f", record, "ssd circuit breaker open")
-            return None
-        sizes = chunk_sizes_for(wire, pipeline.chunks)
-        consumed = 0
+            reader.read(nbytes, request=self._request(record))
+
         try:
-            with op.stage("ssd-put", CAT_TRANSFER, track=track, tier="ssd"):
-                # The open draws the tier gate (a dark SSD raises here, at
-                # chunk 0 of the stream) and the at-rest corruption for this
-                # put attempt; retries re-open, re-drawing both.
-                handle = self._retrying(
-                    "h2f",
-                    record,
-                    lambda: engine.ssd.open_put(
-                        key, stored, int(payload.size),
-                        cancelled=record.cancel_flush,
-                    ),
-                    breaker=breaker,
-                )
-                for i, nbytes in enumerate(sizes):
-                    if not pipeline.await_upstream("h2f", i):
-                        handle.abort()
-                        self._stream_bail("h2f", record, "upstream abandoned")
-                        return None
-                    consumed = i + 1
-                    if not pipeline.throttle("h2f", i):
-                        handle.abort()
-                        raise TransferError("stream interrupted")
-                    t0 = engine.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self._retrying(
-                            "h2f",
-                            record,
-                            lambda nb=nbytes: handle.write(
-                                nb, request=self._request(record)
-                            ),
-                            breaker=breaker,
-                        )
-                    finally:
-                        pipeline.exit_chunk()
-                    self._chunk_span("h2f", "ssd", record, i, nbytes, t0)
-                    pipeline.publish("h2f", i)
-                # Commit-at-end: ownership of the snapshot passes to the
-                # store (copy=False, the historical zero-copy path).
-                handle.commit(
-                    payload, meta=engine.recovery_meta(record), copy=False
-                )
-        except TransientTransferError as exc:
-            if engine.resilient and rcfg.reroute and engine.pfs is not None:
-                return (
-                    "pfs"
-                    if self._stream_reroute(record, pipeline, payload, consumed)
-                    else None
-                )
-            self._abandon("h2f", record, f"{type(exc).__name__} mid-transfer")
-            return None
+            with self._op(record).stage("read-back", CAT_TRANSFER, track=track, tier="ssd"):
+                if not self._chunks(
+                    "f2r", "ssd", record, pipeline, total, read, retry_stage="f2p"
+                ):
+                    if not pipeline.skipped("f2r"):
+                        self._bail("f2r", record, "durable hop abandoned")
+                    return None
         except TransferError:
-            self._abandon("h2f", record, "cancelled mid-transfer")
+            self._abandon("f2p", record, "read-back cancelled mid-transfer")
             return None
+        return reader.finish()[0] if pipeline is SERIAL else pipeline.payload
 
-        def reput() -> None:
-            engine.ssd.put(
-                key,
-                payload,
-                stored,
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                copy=True,
-                request=self._request(record),
-            )
-
-        if engine.resilient and rcfg.reverify:
-            with op.stage("reverify", CAT_RETRY, track=track, tier="ssd"):
-                verified = self._reverify("h2f", record, engine.ssd, breaker, reput)
-            if not verified:
-                engine.ssd.delete(key)
-                engine._journal_retract(record, breaker)
-                if rcfg.reroute and engine.pfs is not None:
-                    return (
-                        "pfs"
-                        if self._stream_reroute(record, pipeline, payload, pipeline.chunks)
-                        else None
-                    )
-                self._abandon("h2f", record, "persistent corruption on SSD put")
-                return None
-        return "ssd"
-
-    def _stream_reroute(
-        self,
-        record: "CheckpointRecord",
-        pipeline: ChunkPipeline,
-        payload,
-        consumed: int,
-    ) -> bool:
-        """Mid-stream reroute around a dark SSD, straight to the PFS.
-
-        ``consumed`` producer chunks already crossed into host staging, so
-        they replay onto the PFS links immediately; the remaining chunks
-        keep streaming against the producer as before — consumption resumes
-        at the right chunk instead of restarting the cascade.  On success
-        the record is durable (journaled) at the PFS and queued for SSD
-        backfill, exactly like the store-and-forward reroute.
-        """
-        engine = self.engine
-        pfs = engine.pfs
-        key = engine.store_key(record)
-        rcfg = engine.config.resilience
-        op = self._op(record)
-        track = self._track_for("h2f")
-        if self.f2p_stream is not None:
-            # The SSD upgrade hop is moot: the blob is going to the PFS now.
-            pipeline.skip("f2r")
-            pipeline.skip("f2p")
-        self.rerouted += 1
-        self._m_reroutes.inc()
-        self.telemetry.bus.instant(
-            "flush-reroute",
-            track,
-            op_id=op.op_id,
-            ckpt=record.ckpt_id,
-            stage="h2f",
-            chunk=consumed,
-        )
-        log.info(
-            "p%d: rerouting streamed h2f flush of checkpoint %d around the "
-            "dark SSD to the PFS at chunk %d/%d",
-            engine.process_id, record.ckpt_id, consumed, pipeline.chunks,
-        )
-        stored = record.stored_size(TierLevel.PFS)
-        sizes = chunk_sizes_for(stored, pipeline.chunks)
-
-        def reput() -> None:
-            pfs.put(
-                key,
-                payload,
-                stored,
-                node_id=engine.node_id,
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                request=self._request(record),
-            )
-
-        try:
-            with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
-                handle = self._retrying(
-                    "h2f-reroute",
-                    record,
-                    lambda: pfs.open_put(
-                        key,
-                        stored,
-                        int(payload.size),
-                        node_id=engine.node_id,
-                        cancelled=record.cancel_flush,
-                    ),
-                    breaker="pfs",
-                )
-                for i, nbytes in enumerate(sizes):
-                    if i >= consumed and not pipeline.await_upstream("h2f", i):
-                        handle.abort()
-                        self._stream_bail("h2f", record, "upstream abandoned")
-                        return False
-                    t0 = engine.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self._retrying(
-                            "h2f-reroute",
-                            record,
-                            lambda nb=nbytes: handle.write(
-                                nb, request=self._request(record)
-                            ),
-                            breaker="pfs",
-                        )
-                    finally:
-                        pipeline.exit_chunk()
-                    self._chunk_span("h2f", "pfs", record, i, nbytes, t0)
-                    pipeline.publish("h2f", i)
-                handle.commit(payload, meta=engine.recovery_meta(record))
-                if rcfg.reverify and not self._reverify(
-                    "h2f-reroute", record, pfs, "pfs", reput
-                ):
-                    pfs.delete(key)
-                    engine._journal_retract(record, "pfs")
-                    self._abandon("h2f", record, "persistent corruption on PFS reroute")
-                    return False
-        except TransferError as exc:
-            self._abandon("h2f", record, f"PFS reroute failed ({type(exc).__name__})")
-            return False
-        first_durable = False
-        with engine.monitor:
-            if record.durable_level is None or record.durable_level < TierLevel.PFS:
-                first_durable = record.durable_level is None
-                record.durable_level = TierLevel.PFS
-            if engine._reduced_at(record, TierLevel.PFS):
-                engine.reducer.attach(record, TierLevel.PFS)
-            engine.monitor.notify_all()
-        engine._journal_commit(record, TierLevel.PFS, "pfs")
-        if first_durable:
-            self._mark_durable(record, op, "h2f", TierLevel.PFS)
-        if rcfg.backfill:
-            with self._backfill_lock:
-                self._backfill.append(record)
-        return True
-
-    def _stream_f2r(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed SSD read-back: the producer half of the PFS upgrade.
-
-        Runs as its own pipeline stage so the read of chunk *i+1* overlaps
-        the PFS write of chunk *i* — store-and-forward f2p serialises the
-        whole read behind the whole write, which would otherwise pace the
-        streamed cascade at read+write per chunk.  The read-back overlaps
-        the not-yet-committed SSD put (the drive streams its write buffer
-        through), so the handle takes the size explicitly instead of the
-        store index.
-        """
+    def _flush_f2r(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
+        """A ring's SSD read-back, as a stage of its own so the read of
+        chunk *i+1* overlaps the PFS write of chunk *i* — reading back
+        before writing would pace the cascade at read+write per chunk."""
         engine = self.engine
         ok = False
         try:
@@ -1524,85 +1174,41 @@ class Flusher:
             if pipeline.skipped("f2r"):
                 ok = True
                 return
+            # Fires as soon as this stage starts, which may be before the
+            # durable hop commits the SSD put.
             engine._maybe_crash("before-f2p", record)
-            # Sizes and the physical payload settle once the producer has
-            # run its preamble (host-site encode), signalled by its first
-            # published chunk reaching the durable hop.
+            # Sizes settle once the producer's opening chunk has reached
+            # the durable hop.
             if not pipeline.await_upstream("f2r", 0):
-                self._stream_bail("f2r", record, "durable hop abandoned")
+                self._bail("f2r", record, "durable hop abandoned")
                 return
-            if pipeline.skipped("f2r"):
-                ok = True
-                return
-            key = engine.store_key(record)
-            read_total = record.stored_size(TierLevel.SSD)
-            read_sizes = chunk_sizes_for(read_total, pipeline.chunks)
-            try:
-                reader = engine.ssd.open_get(key, nominal_size=read_total)
-            except TransferError as exc:
-                self._abandon("f2p", record, f"{type(exc).__name__} at read-back open")
-                return
-            op = self._op(record)
             with self.telemetry.bus.span(
                 "f2r",
                 self._tracks["f2r"],
                 ckpt=record.ckpt_id,
-                bytes=read_total,
+                bytes=record.stored_size(TierLevel.SSD),
                 chunks=pipeline.chunks,
-                **self._causal(op, "ssd"),
+                **self._causal(self._op(record), "ssd"),
             ) as span:
-                try:
-                    for i, nbytes in enumerate(read_sizes):
-                        if not pipeline.await_upstream("f2r", i):
-                            self._stream_bail("f2r", record, "durable hop abandoned")
-                            span.add(abandoned=True)
-                            return
-                        if pipeline.skipped("f2r") or pipeline.skipped("f2p"):
-                            ok = True
-                            return
-                        if pipeline.failed("f2p"):
-                            # The writer already abandoned (and counted) the
-                            # upgrade; reading for a dead consumer is waste.
-                            ok = True
-                            return
-                        if not pipeline.throttle("f2r", i):
-                            raise TransferError("stream interrupted")
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            with op.stage(
-                                "read-back",
-                                CAT_TRANSFER,
-                                track=self._tracks["f2r"],
-                                tier="ssd",
-                            ):
-                                self._retrying(
-                                    "f2p",
-                                    record,
-                                    lambda nb=nbytes: reader.read(
-                                        nb, request=self._request(record)
-                                    ),
-                                )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("f2r", "ssd", record, i, nbytes, t0)
-                        pipeline.publish("f2r", i)
-                except TransferError:
+                payload = self._read_back(record, pipeline, self._tracks["f2r"])
+                ok = payload is not None or pipeline.skipped("f2r")
+                if not ok:
                     span.add(abandoned=True)
-                    self._abandon("f2p", record, "read-back cancelled mid-transfer")
-                    return
-            pipeline.finish("f2r")
-            ok = True
+            if payload is not None:
+                pipeline.finish("f2r")
         finally:
-            if not ok:
-                pipeline.fail("f2r")
-            if pipeline.release():
-                self._account_stream(pipeline)
+            self._settle("f2r", pipeline, ok)
 
-    def _stream_f2p(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed PFS upgrade: consume read-back chunks, charge the PFS
-        per chunk, commit-at-end — overlapping the durable hop *and* the
-        SSD read-back still streaming chunk *i+1*."""
+    def _flush_f2p(self, record: "CheckpointRecord", pipeline=SERIAL) -> None:
+        """The PFS upgrade: SSD read-back, then the PFS put.
+
+        The one-chunk plan reads back on this stream and puts the whole
+        object through the fabric's write aggregator, so concurrent
+        upgrades coalesce into one batched PFS commit.  A ring reads back
+        on its ``f2r`` stage and writes each chunk straight to the PFS as
+        it arrives; the aggregator batches whole objects only, so a ring
+        upgrade bypasses it (counted in ``flush.stream.unaggregated``).
+        """
         engine = self.engine
         ok = False
         try:
@@ -1611,6 +1217,8 @@ class Flusher:
             if pipeline.skipped("f2p"):
                 ok = True
                 return
+            if pipeline is SERIAL:
+                engine._maybe_crash("before-f2p", record)  # a ring's f2r fires it
             op = self._op(record)
             op.fill("flush-queue", track=self._tracks["f2p"])
             with engine.monitor:
@@ -1622,31 +1230,18 @@ class Flusher:
                 ok = True
                 return
             if engine.resilient and not engine.health.allow("pfs"):
+                # The SSD copy is already durable; skip the dark PFS rather
+                # than feed its breaker another doomed upgrade write.
                 self._abandon("f2p", record, "pfs circuit breaker open")
                 return
-            # The read-back's opening chunk implies the producer preamble
+            # A ring's read-back opening chunk implies the producer preamble
             # ran, so the physical payload and stored sizes are settled.
             if not pipeline.await_upstream("f2p", 0):
-                self._stream_bail("f2p", record, "read-back abandoned")
-                return
-            if pipeline.skipped("f2p"):
-                ok = True
+                self._bail("f2p", record, "read-back abandoned")
                 return
             key = engine.store_key(record)
             stored = record.stored_size(TierLevel.PFS)
             wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
-            write_sizes = chunk_sizes_for(stored, pipeline.chunks)
-            try:
-                writer = pfs.open_put(
-                    key,
-                    stored,
-                    int(pipeline.payload.size),
-                    node_id=engine.node_id,
-                    cancelled=record.cancel_flush,
-                )
-            except TransferError as exc:
-                self._abandon("f2p", record, f"{type(exc).__name__} at open")
-                return
             with self.telemetry.bus.span(
                 "f2p",
                 self._tracks["f2p"],
@@ -1655,66 +1250,72 @@ class Flusher:
                 chunks=pipeline.chunks,
                 **self._causal(op, "pfs"),
             ) as span:
-                try:
-                    for i in range(pipeline.chunks):
-                        if not pipeline.await_upstream("f2p", i):
-                            writer.abort()
-                            self._stream_bail("f2p", record, "read-back abandoned")
-                            span.add(abandoned=True)
-                            return
-                        if pipeline.skipped("f2p"):
-                            writer.abort()
-                            ok = True
-                            return
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            self._retrying(
-                                "f2p",
-                                record,
-                                lambda nb=write_sizes[i]: writer.write(
-                                    nb, request=self._request(record)
-                                ),
-                                breaker="pfs",
-                            )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("f2p", "pfs", record, i, write_sizes[i], t0)
-                        pipeline.publish("f2p", i)
-                except TransferError:
-                    writer.abort()
-                    span.add(abandoned=True)
-                    self._abandon("f2p", record, "cancelled mid-transfer")
-                    return
-                # The upgrade only commits over a blob the durable hop
-                # actually landed on the SSD (reroutes skip this stage).
-                if not pipeline.await_finished("f2p", "h2f"):
-                    writer.abort()
-                    span.add(abandoned=True)
-                    self._stream_bail("f2p", record, "durable hop failed")
-                    return
-                if pipeline.skipped("f2p") or pipeline.ssd_outcome != "ssd":
-                    writer.abort()
-                    ok = True
-                    return
-                writer.commit(pipeline.payload, meta=engine.recovery_meta(record))
+                if pipeline is SERIAL:
+                    payload = self._read_back(record, pipeline, self._tracks["f2p"])
+                    if payload is None:
+                        span.add(abandoned=True)
+                        return
+                else:
+                    payload = pipeline.payload
 
-                def reput() -> None:
-                    pfs.put(
+                def put() -> None:
+                    engine._pfs_put(
                         key,
-                        pipeline.payload,
+                        payload,
                         stored,
-                        node_id=engine.node_id,
                         cancelled=record.cancel_flush,
                         meta=engine.recovery_meta(record),
                         request=self._request(record),
                     )
 
+                writer = None
+
+                def write(chunk: int, nbytes: int) -> None:
+                    nonlocal writer
+                    if chunk == 0:
+                        writer = pfs.open_put(
+                            key,
+                            stored,
+                            int(payload.size),
+                            node_id=engine.node_id,
+                            cancelled=record.cancel_flush,
+                        )
+                    writer.write(nbytes, request=self._request(record))
+
+                try:
+                    landed = self._chunks(
+                        "f2p", "pfs", record, pipeline, stored,
+                        (lambda *_: put()) if pipeline is SERIAL else write,
+                        breaker="pfs",
+                    )
+                except TransferError:
+                    span.add(abandoned=True)
+                    self._abandon("f2p", record, "cancelled mid-transfer")
+                    return
+                # A ring commits only over a blob the durable hop actually
+                # landed on the SSD (a reroute skips this stage).
+                landed = landed and pipeline.await_finished("f2p", "h2f")
+                if pipeline.skipped("f2p"):
+                    ok = True
+                    return
+                if not landed:
+                    span.add(abandoned=True)
+                    self._bail("f2p", record, "upstream abandoned")
+                    return
+                if pipeline is not SERIAL:
+                    writer.commit(payload, meta=engine.recovery_meta(record))
+                    if engine.fabric is not None and engine.fabric.config.aggregation:
+                        self._m_unaggregated.inc()
+                        log.debug(
+                            "p%d: streamed PFS upgrade of checkpoint %d bypassed "
+                            "the write aggregator",
+                            engine.process_id, record.ckpt_id,
+                        )
                 if engine.resilient and engine.config.resilience.reverify:
                     with op.stage(
                         "reverify", CAT_RETRY, track=self._tracks["f2p"], tier="pfs"
                     ):
-                        verified = self._reverify("f2p", record, pfs, "pfs", reput)
+                        verified = self._reverify("f2p", record, pfs, "pfs", put)
                     if not verified:
                         pfs.delete(key)
                         engine._journal_retract(record, "pfs")
@@ -1733,6 +1334,5 @@ class Flusher:
             ok = True
         finally:
             if not ok:
-                pipeline.fail("f2p")
-            if pipeline.release():
-                self._account_stream(pipeline)
+                pipeline.skip("f2r")  # no point reading back for a dead writer
+            self._settle("f2p", pipeline, ok)

@@ -1,13 +1,17 @@
-"""Per-checkpoint chunk pipeline for the streamed flush/prefetch cascades.
+"""Chunk plans for the flush/prefetch cascades.
 
-One :class:`ChunkPipeline` coordinates the stages of a single checkpoint's
-streamed transfer (``d2h`` → ``h2f`` → ``f2p``, or ``read`` → ``h2d`` on
-the promote path).  Every stage moves the same number of chunks (stage
-byte counts may differ under reduction — chunk *boundaries* are per
-stage); a consumer stage charges chunk ``i`` on its link only once the
-upstream stage has published chunk ``i``, and a producer stage parks once
-it runs :attr:`ring` chunks ahead of its slowest consumer — the bounded
-ring buffer providing backpressure.
+A flush leg takes a chunk plan.  The one-chunk plan, :data:`SERIAL`, is
+store-and-forward: each leg moves the whole object and the next leg starts
+once it lands.  A transfer that spans at least :data:`MIN_STREAM_CHUNKS`
+chunks (with streaming on) gets a :class:`ChunkPipeline` instead, which
+coordinates the stages of a single checkpoint's streamed transfer
+(``d2h`` → ``h2f`` → ``f2r`` → ``f2p``, or ``read`` → ``h2d`` on the promote
+path).  Every stage moves the same number of chunks (stage byte counts may
+differ under reduction — chunk *boundaries* are per stage); a consumer
+stage charges chunk ``i`` on its link only once the upstream stage has
+published chunk ``i``, and a producer stage parks once it runs
+:attr:`~ChunkPipeline.ring` chunks ahead of its slowest consumer — the
+bounded ring buffer providing backpressure.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
@@ -24,9 +28,16 @@ metric (1.0 = perfectly pipelined, → 0 = store-and-forward).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.clock import VirtualClock
+
+#: fewest chunks worth streaming: a shorter transfer takes the one-chunk
+#: plan, since per-chunk latency would dominate it.
+MIN_STREAM_CHUNKS = 2
+#: ring-buffer depth in chunks: a producer stage may run at most this many
+#: chunks ahead of its consumer (double buffer + 1 in-flight chunk).
+RING_CHUNKS = 3
 
 
 def plan_chunks(nbytes: int, chunk_bytes: int, min_chunks: int) -> Optional[List[int]]:
@@ -51,8 +62,52 @@ def chunk_sizes_for(nbytes: int, count: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(count)]
 
 
-class StageFailed(Exception):
-    """Internal signal: an upstream stage failed or was abandoned."""
+class SerialPlan:
+    """The one-chunk plan: store-and-forward, in the ``NULL_OP`` style.
+
+    Its legs run one after another — each submits the next once it has
+    landed — so there is nothing to coordinate: every wait is satisfied at
+    once and every signal is dropped.  Stateless, so one instance
+    (:data:`SERIAL`) serves every checkpoint.
+    """
+
+    chunks = 1
+
+    def await_upstream(self, stage: str, chunk: int) -> bool:
+        return True
+
+    def await_finished(self, stage: str, other: str) -> bool:
+        return True
+
+    def throttle(self, stage: str, chunk: int) -> bool:
+        return True
+
+    def skipped(self, stage: str) -> bool:
+        return False
+
+    def publish(self, stage: str, chunk: int) -> None:
+        pass
+
+    def finish(self, stage: str) -> None:
+        pass
+
+    def fail(self, stage: str) -> None:
+        pass
+
+    def skip(self, stage: str) -> None:
+        pass
+
+    def enter_chunk(self) -> None:
+        pass
+
+    def exit_chunk(self) -> None:
+        pass
+
+    def release(self) -> bool:
+        return False
+
+
+SERIAL = SerialPlan()
 
 
 class ChunkPipeline:
@@ -96,14 +151,8 @@ class ChunkPipeline:
         #: post-encode physical payload here so consumers need not wait
         #: for the whole upstream copy to land before starting work.
         self.payload = None
-        #: where the durable put landed ("ssd" / "pfs" / None), set by the
-        #: durable stage before it finishes.
-        self.ssd_outcome: Optional[str] = None
         #: per-stage nominal seconds spent stalled in await/throttle.
         self.stall_s: Dict[str, float] = {}
-        #: chunk-completion callbacks (event-driven handoff for metrics
-        #: and tests); fired outside the lock, after publish.
-        self._chunk_callbacks: List[Callable[[str, int], None]] = []
         self._workers = 0
         # -- overlap integrator (virtual time, ≥2 stages mid-chunk) --
         self._active = 0
@@ -145,10 +194,6 @@ class ChunkPipeline:
         idx = self._order.index(name)
         return self._order[idx + 1] if idx + 1 < len(self._order) else None
 
-    def add_chunk_callback(self, fn: Callable[[str, int], None]) -> None:
-        with self._cond:
-            self._chunk_callbacks.append(fn)
-
     # -- interruption checks ------------------------------------------------
     def _interrupted(self) -> bool:
         return (self.cancelled is not None and self.cancelled.is_set()) or (
@@ -162,9 +207,6 @@ class ChunkPipeline:
             if chunk + 1 > self._done[stage]:
                 self._done[stage] = chunk + 1
             self._cond.notify_all()
-            callbacks = list(self._chunk_callbacks)
-        for fn in callbacks:
-            fn(stage, chunk)
 
     def finish(self, stage: str) -> None:
         """The stage's commit is complete (its epilogue has run)."""

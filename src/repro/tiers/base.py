@@ -69,7 +69,8 @@ class ObjectStore(ABC):
 
     def open_put(self, key: StoreKey, nominal_size: int, payload_size: int, **kw):
         """Chunk-granular write handle: ``write(nbytes)`` per chunk, then
-        ``commit(payload, meta=, copy=)`` (or ``abort()``)."""
+        ``commit(payload, meta=, copy=)``; an abandoned handle is simply
+        dropped, since nothing is visible before the commit."""
         raise NotImplementedError(f"{type(self).__name__} does not stream puts")
 
     def open_get(self, key: StoreKey, **kw):

@@ -302,9 +302,6 @@ class _PfsPut:
         )
         return self.seconds
 
-    def abort(self) -> None:
-        """Nothing to roll back: an uncommitted stream left no state."""
-
 
 class _PfsGet:
     """In-flight PFS read: chunk charges on node + global links."""

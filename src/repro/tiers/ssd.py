@@ -411,9 +411,6 @@ class _SsdPut:
         )
         return self.seconds
 
-    def abort(self) -> None:
-        """Nothing to roll back: an uncommitted stream left no state."""
-
 
 class _SsdGet:
     """In-flight read: chunk charges on the read link, payload at finish."""

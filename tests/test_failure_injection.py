@@ -5,19 +5,21 @@ import threading
 import numpy as np
 import pytest
 
+from repro.config import StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.sync import Monitor
 from repro.clock import VirtualClock
 from repro.errors import CheckpointNotFound, TransferError
 from repro.tiers.base import TierLevel
 from repro.util.units import MiB
-from tests.conftest import make_buffer
+from tests.conftest import make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
 
 class FlakySsd:
-    """Wraps an SsdStore; fails the first N put() calls."""
+    """Wraps an SsdStore; fails the first N put attempts, whether they come
+    as a whole-object put() or open a chunked put with open_put()."""
 
     def __init__(self, inner, failures):
         self._inner = inner
@@ -25,13 +27,20 @@ class FlakySsd:
         self._lock = threading.Lock()
         self.put_attempts = 0
 
-    def put(self, key, payload, nominal_size, **kw):
+    def _attempt(self):
         with self._lock:
             self.put_attempts += 1
             if self._failures > 0:
                 self._failures -= 1
                 raise TransferError("injected SSD write failure")
+
+    def put(self, key, payload, nominal_size, **kw):
+        self._attempt()
         return self._inner.put(key, payload, nominal_size, **kw)
+
+    def open_put(self, key, nominal_size, payload_size, **kw):
+        self._attempt()
+        return self._inner.open_put(key, nominal_size, payload_size, **kw)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -71,6 +80,15 @@ class TestSsdWriteFailures:
             assert durable.count(True) == 2  # exactly the injected failure lost
         finally:
             engine.close()
+
+
+class TestSsdWriteFailuresStreamed(TestSsdWriteFailures):
+    """The same failures under the ring schedule: streaming on, so each
+    128 MiB checkpoint flushes as an 8-chunk pipeline."""
+
+    @pytest.fixture
+    def config(self):
+        return tiny_config(stream=StreamConfig(enabled=True))
 
 
 class TestStoreCorruptionPaths:

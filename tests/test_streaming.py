@@ -5,7 +5,9 @@ The acceptance bar for the streaming subsystem:
 * ``StreamConfig.enabled=False`` changes nothing — the same discipline as
   ``SchedConfig`` / ``ReduceConfig`` / ``FaultConfig``: identical eviction
   decision streams, cache layouts, tier byte counters, store metadata and
-  restored bytes, and no streaming metrics registered;
+  restored bytes, and no streaming metrics registered; streaming on with
+  transfers under the two-chunk floor (the one-chunk plan) makes the same
+  eviction decisions, layouts, tier byte counts and restored bytes;
 * streaming on, the cascade restores bit-identical bytes, reports pipeline
   counts and overlap/stall gauges, and composes with the reduction
   pipeline (chunk recipes reconstruct, CRCs verify);
@@ -15,6 +17,7 @@ The acceptance bar for the streaming subsystem:
 * an SSD failure mid-stream reroutes to the PFS, replaying the chunks the
   dead put had consumed, and the rerouted checkpoint restores verified
   bytes;
+* a streamed PFS upgrade around an enabled write aggregator is counted;
 * (property) streamed and store-and-forward runs restore identical
   payload checksums for arbitrary snapshot-size mixes.
 
@@ -30,7 +33,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
-from repro.config import FaultConfig, ReduceConfig, ResilienceConfig, StreamConfig
+from repro.config import (
+    ClusterConfig,
+    FaultConfig,
+    ReduceConfig,
+    ResilienceConfig,
+    StreamConfig,
+)
 from repro.core.engine import ScoreEngine
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.validator import validate_engine
@@ -217,8 +226,9 @@ def _equivalence_scenario(stream_cfg):
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
-            assert not engine.streaming
-            assert engine.promote_stream is None
+            streaming = stream_cfg is not None and stream_cfg.enabled
+            assert engine.streaming == streaming
+            assert (engine.promote_stream is None) != streaming
             sums = {}
             for v in range(10):
                 buf = make_buffer(ctx, CKPT, seed=v)
@@ -254,23 +264,19 @@ def _equivalence_scenario(stream_cfg):
                     "tier.pfs.write_bytes",
                 )
             }
-            metric_names = sorted(registry.snapshot().keys())
-            return decisions, layouts, tier_bytes, metric_names, restored
+            snapshot = registry.snapshot()
+            metric_names = sorted(snapshot.keys())
+            pipelines = snapshot.get("flush.stream.pipelines")
+            return decisions, layouts, tier_bytes, metric_names, restored, pipelines
 
 
 def test_disabled_streaming_is_bit_identical():
     import json
 
     default = _equivalence_scenario(None)
-    # Every other knob non-default; enabled=False must make them all inert.
+    # The chunk size non-default; enabled=False must make it inert.
     off = _equivalence_scenario(
-        StreamConfig(
-            enabled=False,
-            stream_chunk_bytes=4 * MiB,
-            ring_chunks=7,
-            min_stream_chunks=3,
-            prefetch=False,
-        )
+        StreamConfig(enabled=False, stream_chunk_bytes=4 * MiB)
     )
     for got, want in zip(off, default):
         assert json.dumps(got, sort_keys=True, default=str) == json.dumps(
@@ -311,24 +317,18 @@ class TestStreamedCascade:
                 validate_engine(engine)
 
     def test_small_checkpoints_fall_back_to_legacy(self):
-        # Below min_stream_chunks chunks the whole-object path runs.
-        cfg = tiny_config(
-            telemetry=True,
-            stream=StreamConfig(enabled=True, stream_chunk_bytes=256 * MiB),
+        """A transfer under the two-chunk floor takes the one-chunk plan:
+        store-and-forward, indistinguishable from streaming off."""
+        disabled = _equivalence_scenario(None)
+        one_chunk = _equivalence_scenario(
+            StreamConfig(enabled=True, stream_chunk_bytes=CKPT)
         )
-        with Cluster(cfg) as cluster:
-            ctx = cluster.process_contexts()[0]
-            with ScoreEngine(ctx, flush_to_pfs=True) as engine:
-                buf = make_buffer(ctx, CKPT, seed=0)
-                expected = buf.checksum()
-                engine.checkpoint(0, buf)
-                assert engine.wait_for_flushes(timeout=600.0)
-                assert cluster.telemetry.registry.counter(
-                    "flush.stream.pipelines"
-                ).value == 0
-                out = ctx.device.alloc_buffer(CKPT)
-                engine.restore(0, out)
-                assert out.checksum() == expected
+        decisions, layouts, tier_bytes, _, restored, pipelines = one_chunk
+        assert decisions == disabled[0]
+        assert layouts == disabled[1]
+        assert tier_bytes == disabled[2]
+        assert restored == disabled[4]
+        assert pipelines == 0  # streaming on, yet no ring pipeline built
 
     def test_streaming_with_reduction(self):
         """Chunk recipes reconstruct and CRCs verify under streaming."""
@@ -369,7 +369,14 @@ class TestStreamedCascade:
 
 # -- streaming + faults ------------------------------------------------------
 class TestStreamedFaults:
-    @pytest.mark.parametrize("point", ["before-h2f", "after-h2f", "after-f2p"])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "before-d2h", "after-d2h",
+            "before-h2f", "after-h2f",
+            "before-f2p", "after-f2p",
+        ],
+    )
     def test_crash_between_chunk_commits(self, point):
         """Commit-at-end: a crash at a stage boundary mid-stream leaves no
         torn object; the journal recovers exactly what committed."""
@@ -488,6 +495,49 @@ class TestStreamedFaults:
                     engine.restore(v, out)
                     assert out.checksum() == sums[v]
                 validate_engine(engine)
+
+
+# -- streaming + the cluster's PFS write aggregator -------------------------
+def test_ring_upgrade_around_the_aggregator_is_counted():
+    """A ring's PFS upgrade writes its chunks straight to the PFS, around
+    an enabled write aggregator, and says so in flush.stream.unaggregated;
+    a one-chunk upgrade in the same run still goes through the aggregator."""
+    cfg = tiny_config(
+        telemetry=True,
+        stream=STREAMING,
+        cluster=ClusterConfig(enabled=True, replica_factor=1, aggregation=True),
+    )
+    sizes = [CKPT, CKPT, 8 * MiB]  # two 8-chunk rings, one one-chunk plan
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            fabric = engine.fabric
+            assert fabric is not None
+            aggregated = []
+            real_pfs_put = fabric.pfs_put
+
+            def pfs_put(node_id, key, *args, **kw):
+                aggregated.append(key)
+                return real_pfs_put(node_id, key, *args, **kw)
+
+            fabric.pfs_put = pfs_put
+            sums = {}
+            for v, size in enumerate(sizes):
+                buf = ctx.device.alloc_buffer(size)
+                buf.fill_random(make_rng(v, "stream-agg"))
+                sums[v] = buf.checksum()
+                engine.checkpoint(v, buf)
+            assert engine.wait_for_flushes(timeout=600.0)
+            snap = cluster.telemetry.registry.snapshot()
+            assert snap["flush.stream.pipelines"] == 2
+            assert snap["flush.stream.unaggregated"] == 2
+            assert aggregated == [(engine.process_id, 2)]  # the one-chunk upgrade
+            for v, size in enumerate(sizes):
+                assert engine.catalog.get(v).durable_level is TierLevel.PFS
+                out = ctx.device.alloc_buffer(size)
+                engine.restore(v, out)
+                assert out.checksum() == sums[v]
+            validate_engine(engine)
 
 
 # -- drain sweep -------------------------------------------------------------
