@@ -8,7 +8,8 @@ implements the blocking semantics of the problem formulation (Section 2):
 * ``checkpoint`` blocks only until the data is copied into the GPU cache;
   flushing to slower tiers proceeds asynchronously;
 * ``restore`` is served from the GPU cache when possible; otherwise it
-  blocks while the prefetcher promotes the checkpoint level by level;
+  blocks while the checkpoint is promoted hop by hop (a streamed hop to
+  the host lands the GPU copy along with it);
 * restore-order hints drive prefetching and the eviction scores;
 * consumed checkpoints become evictable everywhere; when the engine runs
   with ``discard_consumed=True`` their pending flushes are abandoned
@@ -17,6 +18,7 @@ implements the blocking semantics of the problem formulation (Section 2):
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Optional
 
@@ -32,6 +34,7 @@ from repro.core.scoring import ScorePolicy
 from repro.core.streaming import (
     MIN_STREAM_CHUNKS,
     RING_CHUNKS,
+    SERIAL,
     ChunkPipeline,
     chunk_sizes_for,
     plan_chunks,
@@ -108,11 +111,6 @@ class ScoreEngine:
         #: GPU cache → SSD directly over PCIe DMA, bypassing the host cache;
         #: promotions likewise read SSD → GPU.  The host tier is unused.
         self.gpudirect = gpudirect
-        #: VELOC-style partner replication: once durable on the local SSD,
-        #: a copy also crosses the fabric to the next node's SSD, so a full
-        #: node failure loses nothing (Section 3.1's complementary
-        #: resilience strategy).  No-op on single-node clusters.
-        self.partner_replication = partner_replication
         cluster = context.node.cluster
         #: shared-link QoS arbitration (no-op fleet unless
         #: ``config.sched.enabled``); transfers are tagged with a
@@ -142,38 +140,36 @@ class ScoreEngine:
         #: remaining work and public entry points raise
         #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
         self.crashed = threading.Event()
-        self.partner_node_id = None
-        self.partner_ssd = None
-        if partner_replication and len(cluster.nodes) > 1:
-            self.partner_node_id = (self.node_id + 1) % len(cluster.nodes)
-            self.partner_ssd = cluster.nodes[self.partner_node_id].ssd
-            self.partner_link = cluster.internode_link(self.node_id, self.partner_node_id)
         #: distributed checkpoint fabric (None unless ``config.cluster``
         #: enables it): peer-SSD read routing, ring-replica targets, and
         #: PFS write aggregation (:mod:`repro.cluster.fabric`).
         self.fabric = getattr(cluster, "fabric", None)
         #: SSD replica destinations ``(node_id, ssd, link)`` beyond the home
-        #: node: the legacy partner pair when ``partner_replication`` asked
-        #: for it, else the fabric's ``replica_factor - 1`` ring successors.
+        #: node.  ``partner_replication`` asks for VELOC-style partner
+        #: replication — once durable on the local SSD, a copy also crosses
+        #: the fabric to the next node's SSD, so a full node failure loses
+        #: nothing (Section 3.1's complementary resilience strategy; no-op on
+        #: a single node); otherwise the fabric supplies its
+        #: ``replica_factor - 1`` ring successors.
         self.replica_targets = []
-        if self.partner_ssd is not None:
+        if partner_replication and len(cluster.nodes) > 1:
+            partner = (self.node_id + 1) % len(cluster.nodes)
             self.replica_targets = [
-                (self.partner_node_id, self.partner_ssd, self.partner_link)
+                (
+                    partner,
+                    cluster.nodes[partner].ssd,
+                    cluster.internode_link(self.node_id, partner),
+                )
             ]
         elif self.fabric is not None:
             self.replica_targets = self.fabric.replica_targets(self.node_id)
-            if self.replica_targets:
-                # Keep the legacy aliases pointing at the first replica so
-                # recovery and repair scan it exactly as a partner pair.
-                self.partner_node_id, self.partner_ssd, self.partner_link = (
-                    self.replica_targets[0]
-                )
 
         self.monitor = Monitor(self.clock)
         self.telemetry: Telemetry = (
             getattr(context, "telemetry", None) or Telemetry.disabled()
         )
         self._app_track = f"p{self.process_id}-app"
+        self._prefetch_track = f"p{self.process_id}-prefetch"
         self._lifecycle_track = f"p{self.process_id}-lifecycle"
         if self.fabric is not None:
             # Per-node trace lanes: stamp this engine's p<pid>-* tracks with
@@ -844,7 +840,7 @@ class ScoreEngine:
     def _repair_corruption(self, record: CheckpointRecord) -> bool:
         """Recover from an at-rest corrupt durable copy found at restore.
 
-        CRC-scrubs every durable copy (local SSD, partner SSD, PFS) against
+        CRC-scrubs every durable copy (local SSD, replica SSDs, PFS) against
         the pristine checksum stamped at put() time, deletes the copies
         whose bytes diverged (journaling the retract), drops the cache
         copies hydrated from them, recomputes the durable placement from
@@ -854,11 +850,12 @@ class ScoreEngine:
         :class:`IntegrityError` as before.
         """
         key = self.store_key(record)
-        stores = []
-        if self.ssd.contains(key):
-            stores.append((TierLevel.SSD, self.ssd, self.ssd._track))
-        if self.partner_ssd is not None and self.partner_ssd.contains(key):
-            stores.append((TierLevel.SSD, self.partner_ssd, self.partner_ssd._track))
+        replicas = [ssd for _node, ssd, _link in self.replica_targets]
+        stores = [
+            (TierLevel.SSD, ssd, ssd._track)
+            for ssd in [self.ssd, *replicas]
+            if ssd.contains(key)
+        ]
         if self.pfs is not None and self.pfs.contains(key):
             stores.append((TierLevel.PFS, self.pfs, "pfs"))
         bad = [entry for entry in stores if not entry[1].verify(key)]
@@ -867,7 +864,7 @@ class ScoreEngine:
         for level, store, track in bad:
             store.delete(key)
             if store in (self.ssd, self.pfs):
-                # Partner replicas stay outside the chunk accounting.
+                # Replicas stay outside the chunk accounting.
                 if self._reduced_at(record, level):
                     self.reducer.detach(record, level)
             self._journal_retract(record, track)
@@ -885,17 +882,15 @@ class ScoreEngine:
         self.host_cache.release(record)
         has_ssd = self.ssd.contains(key)
         has_pfs = self.pfs is not None and self.pfs.contains(key)
-        partner_has = self.partner_ssd is not None and self.partner_ssd.contains(key)
+        replica = next((ssd for ssd in replicas if ssd.contains(key)), None)
         with self.monitor:
             if has_pfs:
                 record.durable_level = TierLevel.PFS
-            elif has_ssd or partner_has:
+            elif has_ssd or replica is not None:
                 record.durable_level = TierLevel.SSD
             else:
                 record.durable_level = None
-            record.durable_store = (
-                self.partner_ssd if (partner_has and not has_ssd and not has_pfs) else None
-            )
+            record.durable_store = replica if not (has_ssd or has_pfs) else None
             self.monitor.notify_all()
         if has_pfs and not has_ssd:
             # Re-flush the repaired SSD tier from the pristine PFS copy so
@@ -932,7 +927,7 @@ class ScoreEngine:
         returns the nominal seconds charged to the caller.
 
         Demand promotion runs *inline* in the calling thread: a restore that
-        misses the GPU cache promotes the checkpoint level by level itself
+        misses the GPU cache promotes the checkpoint hop by hop itself
         (with blocking reservations and permission to force-evict
         prefetched-but-unconsumed extents — the hint-deviation penalty).
         When the prefetcher is already moving this checkpoint, the restore
@@ -1036,7 +1031,7 @@ class ScoreEngine:
 
     # -- promotion machinery (shared with the prefetcher) ---------------------
     def promotion_step(self, record: CheckpointRecord):
-        """Monitor held: next one-level promotion toward the GPU, or None."""
+        """Monitor held: next promotion hop ``(src, dst)`` toward the GPU, or None."""
         gpu_inst = record.peek(TierLevel.GPU)
         if gpu_inst is not None and (
             gpu_inst.has_copy or gpu_inst.state is CkptState.READ_IN_PROGRESS
@@ -1054,6 +1049,34 @@ class ScoreEngine:
                 return (src, TierLevel.GPU)
             return (src, TierLevel.HOST)
         return None  # only copy is mid-flush; the flusher will land it
+
+    def _promote_plan(self, record: CheckpointRecord, src: TierLevel, dst: TierLevel):
+        """The chunk plan of one promotion hop: ``SERIAL`` (store-and-forward)
+        unless streaming is on, the hop reads a storage tier, the stored copy
+        spans at least ``MIN_STREAM_CHUNKS`` chunks and — for a hop to the
+        host, whose ring fuses the GPU hop in — no host-site decode sits
+        between the two levels.  Then a read → h2d :class:`ChunkPipeline`."""
+        if not self.streaming or src not in (TierLevel.SSD, TierLevel.PFS):
+            return SERIAL
+        if dst == TierLevel.HOST and self._decodes_on_host(record):
+            return SERIAL
+        sizes = plan_chunks(
+            record.stored_size(src), self.config.stream.stream_chunk_bytes, MIN_STREAM_CHUNKS
+        )
+        if sizes is None:
+            return SERIAL
+        pipeline = ChunkPipeline(
+            record.ckpt_id, len(sizes), RING_CHUNKS, self.clock, crashed=self.crashed
+        )
+        pipeline.add_stage("read")
+        pipeline.add_stage("h2d")
+        return pipeline
+
+    def _decodes_on_host(self, record: CheckpointRecord) -> bool:
+        """Host-site reduction: the host copy is physical, the GPU's logical."""
+        return self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
+            record, TierLevel.GPU
+        )
 
     def promote_once(
         self,
@@ -1077,344 +1100,200 @@ class ScoreEngine:
         restore (or the prefetch chain) when causal tracing is on.
         ``speculative`` marks the landed extents as revocable predicted
         stagings rather than pinned hinted prefetches.
+
+        A hop off storage takes the chunk plan of :meth:`_promote_plan`.
+        A ring to the host is *fused*: it claims the GPU extent too and
+        lands both levels from one streamed read, so the checkpoint reaches
+        the GPU in ``max(read, h2d)`` instead of ``read + h2d``.
         """
-        if self.streaming and src in (TierLevel.SSD, TierLevel.PFS):
-            result = self._promote_streamed(
-                record, src, dst, blocking, allow_pinned, request, op,
-                speculative=speculative,
-            )
-            if result is not NotImplemented:
-                return result
-        if dst == TierLevel.GPU and src in (TierLevel.SSD, TierLevel.PFS):
-            # GPUDirect storage read: SSD/PFS → HBM over PCIe DMA.
-            with op.stage("reserve-gpu", CAT_RESERVE):
-                waited = self.gpu_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
+        claim = (blocking, allow_pinned, speculative, op)
+        if src == TierLevel.HOST:
+            return self._promote_from_host(record, request, *claim)
+        plan = self._promote_plan(record, src, dst)
+        fused = dst == TierLevel.HOST and plan is not SERIAL
+        waited = 0.0
+        if fused:
+            waited = self._reserve(record, TierLevel.GPU, *claim)
             if waited is None:
-                return None
-            try:
-                src, store = self.durable_read_source(record)
-                with op.stage(
-                    "promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name
-                ):
-                    if src == TierLevel.PFS:
-                        payload, read_seconds = store.get(
-                            self.store_key(record), node_id=self.node_id, request=request
-                        )
-                    else:
-                        payload, read_seconds = store.get(
-                            self.store_key(record), request=request
-                        )
-                    seconds = waited + read_seconds
-                    seconds += self.device.h2d_link.transfer(
-                        record.wire_size(src, TierLevel.GPU), request=request
-                    )
-            except Exception:
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-                raise
-            self.gpu_cache.write_payload(record, payload)
-            with self.monitor:
-                record.instance(TierLevel.GPU).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
-                )
-                if self._reduced_at(record, TierLevel.GPU):
-                    self.reducer.attach(record, TierLevel.GPU)
-                self.monitor.notify_all()
-            return seconds
-        if dst == TierLevel.GPU:
-            with op.stage("reserve-gpu", CAT_RESERVE):
-                waited = self.gpu_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
-            if waited is None:
-                return None
-            # Pin the host source extent for the (short) payload read so
-            # eviction cannot reclaim it underneath us; if it vanished
-            # while we were reserving, release the reservation and let the
-            # caller re-resolve the source level.
-            with self.monitor:
-                host_inst = record.peek(TierLevel.HOST)
-                if host_inst is None or not host_inst.has_copy:
-                    self.gpu_cache.release(record)
-                    raise TransferError(
-                        f"host copy of checkpoint {record.ckpt_id} vanished "
-                        "before promotion"
-                    )
-                host_inst.read_pinned += 1
-            decoded = 0.0
-            try:
-                if self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
-                    record, TierLevel.GPU
-                ):
-                    # Host-site reduction: decode on the host before the
-                    # PCIe crossing, so the GPU cache holds logical bytes
-                    # and the wire below moves them at logical size.
-                    with op.stage("decode", CAT_REDUCE):
-                        payload, decoded = self.reducer.reconstruct(
-                            record, TierLevel.HOST
-                        )
-                else:
-                    # Zero-copy: move the bytes host-arena → GPU-arena
-                    # through a read-only view while the host extent is
-                    # pinned.  The GPU extent is still READ_IN_PROGRESS, so
-                    # the early landing is unobservable; the simulated
-                    # transfer below charges the time.
-                    payload = self.host_cache.read_payload(record, copy=False)
-                self.gpu_cache.write_payload(record, payload)
-            finally:
-                with self.monitor:
-                    host_inst.read_pinned -= 1
-                    self.monitor.notify_all()
-            try:
-                with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
-                    seconds = waited + decoded + self.device.h2d_link.transfer(
-                        record.wire_size(TierLevel.HOST, TierLevel.GPU), request=request
-                    )
-            except TransferError:
-                # Preempted (or cancelled) mid-promotion: the reserved —
-                # and eagerly written — GPU extent is released for reuse.
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-                raise
-            with self.monitor:
-                record.instance(TierLevel.GPU).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
-                )
-                if self._reduced_at(record, TierLevel.GPU):
-                    self.reducer.attach(record, TierLevel.GPU)
-                self.monitor.notify_all()
-            return seconds
-        with op.stage("reserve-host", CAT_RESERVE):
-            waited = self.host_cache.reserve(
-                record,
-                CkptState.READ_IN_PROGRESS,
-                blocking=blocking,
-                allow_pinned=allow_pinned,
-                speculative=speculative,
-            )
-        if waited is None:
+                # Prefetch lost the GPU claim: take the plain host-only hop
+                # rather than shed the whole promotion.
+                plan, fused, waited = SERIAL, False, 0.0
+        dst_waited = self._reserve(record, dst, *claim)
+        if dst_waited is None:
+            if fused:
+                self.gpu_cache.release(record)
             return None
+        waited += dst_waited
+        # Landing order: the host copy is the staging copy and must be
+        # consistent before the GPU extent becomes consumable.
+        levels = (TierLevel.HOST, TierLevel.GPU) if fused else (dst,)
+        crossing_error: Optional[BaseException] = None
         try:
             src, store = self.durable_read_source(record)
-            with op.stage("promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name):
-                if src == TierLevel.PFS:
-                    payload, read_seconds = store.get(
-                        self.store_key(record), node_id=self.node_id, request=request
+            with op.stage(
+                "promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name,
+                chunks=plan.chunks,
+            ):
+                node = {"node_id": self.node_id} if src == TierLevel.PFS else {}
+                reader = store.open_get(self.store_key(record), request=request, **node)
+                crossing = consumer = None
+                if levels[-1] == TierLevel.GPU:
+                    wire = record.wire_size(TierLevel.HOST if fused else src, TierLevel.GPU)
+                    crossing = functools.partial(
+                        self._promote_chunks, plan, "h2d", "pcie", wire,
+                        functools.partial(self.device.h2d_link.transfer, request=request),
+                        op,
                     )
-                else:
-                    payload, read_seconds = store.get(
-                        self.store_key(record), request=request
+                    if plan is not SERIAL:
+                        consumer = self.promote_stream.submit(
+                            crossing, label=f"h2d-{record.ckpt_id}"
+                        )
+                try:
+                    self._promote_chunks(
+                        plan, "read", src.name.lower(), reader.nominal_size, reader.read, op
                     )
-        except Exception:
-            self._release_reservation(self.host_cache, record, TierLevel.HOST)
+                    payload, charged = reader.finish()
+                finally:
+                    if consumer is not None:
+                        # The consumer owns the h2d charges; settle it either
+                        # way so reservations are never released under a
+                        # live transfer.
+                        try:
+                            consumer.wait()
+                        except BaseException as exc:  # noqa: BLE001 - re-raised below
+                            crossing_error = exc
+                if crossing is not None and plan is SERIAL:
+                    charged += crossing()
+        except BaseException:
+            for level in levels:
+                self._cache(level).release(record)
             raise
-        self.host_cache.write_payload(record, payload)
-        with self.monitor:
-            record.instance(TierLevel.HOST).transition(
-                CkptState.READ_COMPLETE, self.clock.now()
-            )
-            if self._reduced_at(record, TierLevel.HOST):
-                self.reducer.attach(record, TierLevel.HOST)
-            self.monitor.notify_all()
-        return waited + read_seconds
+        for level in levels:
+            if level == TierLevel.GPU and crossing_error is not None:
+                # Preempted (or shed) mid-crossing: the fused host copy stays,
+                # as if its own hop had landed; the GPU claim is rolled back.
+                self.gpu_cache.release(record)
+                raise crossing_error
+            self._land(record, level, payload)
+        return waited + (charged if plan is SERIAL else plan.active_s)
 
-    def _promote_streamed(
+    def _promote_from_host(
         self,
         record: CheckpointRecord,
-        src: TierLevel,
-        dst: TierLevel,
+        request: Optional[TransferRequest],
         blocking: bool,
         allow_pinned: bool,
-        request: Optional[TransferRequest],
-        op=NULL_OP,
-        speculative: bool = False,
-    ):
-        """Streamed promotion off a storage tier: the store read-back and
-        the PCIe H2D crossing overlap chunk-by-chunk (the flush cascade run
-        backwards).  With ``dst == HOST`` the promotion is *fused*: the GPU
-        extent is claimed up front and both levels land from one streamed
-        read, so a hinted checkpoint reaches the GPU in ``max(read, h2d)``
-        instead of ``read + h2d``.  Returns ``NotImplemented`` to route the
-        caller onto the legacy store-and-forward path (transfer too small,
-        decode boundary in the way, or a non-blocking GPU claim lost the
-        race), ``None`` when a non-blocking reservation could not claim
-        space, else the accounted nominal seconds.
-        """
-        fused = dst == TierLevel.HOST
-        if fused and self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
-            record, TierLevel.GPU
-        ):
-            # The host-site decode sits between the two hops; the fused
-            # stream has no host staging step to decode at.
-            return NotImplemented
-        src_now, store = self.durable_read_source(record)
-        read_nominal = record.stored_size(src_now)
-        sizes = plan_chunks(
-            read_nominal, self.config.stream.stream_chunk_bytes, MIN_STREAM_CHUNKS
-        )
-        if sizes is None or self.promote_stream is None:
-            return NotImplemented
-        h2d_wire = record.wire_size(
-            src_now if dst == TierLevel.GPU else TierLevel.HOST, TierLevel.GPU
-        )
-        h2d_sizes = chunk_sizes_for(h2d_wire, len(sizes))
-        with op.stage("reserve-gpu", CAT_RESERVE):
-            gpu_waited = self.gpu_cache.reserve(
+        speculative: bool,
+        op,
+    ) -> Optional[float]:
+        """The host → GPU hop: a decode (host-site reduction) or zero-copy
+        read under a source pin, an eager GPU write, then the crossing."""
+        waited = self._reserve(record, TierLevel.GPU, blocking, allow_pinned, speculative, op)
+        if waited is None:
+            return None
+        # Pin the host source extent for the (short) payload read so
+        # eviction cannot reclaim it underneath us; if it vanished while we
+        # were reserving, release the reservation and let the caller
+        # re-resolve the source level.
+        with self.monitor:
+            host_inst = record.peek(TierLevel.HOST)
+            if host_inst is None or not host_inst.has_copy:
+                self.gpu_cache.release(record)
+                raise TransferError(
+                    f"host copy of checkpoint {record.ckpt_id} vanished "
+                    "before promotion"
+                )
+            host_inst.read_pinned += 1
+        decoded = 0.0
+        try:
+            if self._decodes_on_host(record):
+                # Decode on the host before the PCIe crossing, so the GPU
+                # cache holds logical bytes and the wire below moves them at
+                # logical size.
+                with op.stage("decode", CAT_REDUCE):
+                    payload, decoded = self.reducer.reconstruct(record, TierLevel.HOST)
+            else:
+                # Zero-copy: move the bytes host-arena → GPU-arena through a
+                # read-only view while the host extent is pinned.  The GPU
+                # extent is still READ_IN_PROGRESS, so the early landing is
+                # unobservable; the crossing below charges the time.
+                payload = self.host_cache.read_payload(record, copy=False)
+            self.gpu_cache.write_payload(record, payload)
+        finally:
+            with self.monitor:
+                host_inst.read_pinned -= 1
+                self.monitor.notify_all()
+        try:
+            with op.stage("promote", CAT_TRANSFER, tier="pcie", dst="GPU", chunks=1):
+                seconds = waited + decoded + self.device.h2d_link.transfer(
+                    record.wire_size(TierLevel.HOST, TierLevel.GPU), request=request
+                )
+        except TransferError:
+            # Preempted (or cancelled) mid-promotion: the reserved — and
+            # eagerly written — GPU extent is released for reuse.
+            self.gpu_cache.release(record)
+            raise
+        self._land(record, TierLevel.GPU)
+        return seconds
+
+    def _cache(self, level: TierLevel) -> CacheBuffer:
+        return self.gpu_cache if level == TierLevel.GPU else self.host_cache
+
+    def _reserve(
+        self,
+        record: CheckpointRecord,
+        level: TierLevel,
+        blocking: bool,
+        allow_pinned: bool,
+        speculative: bool,
+        op,
+    ) -> Optional[float]:
+        """Claim ``level``'s extent for an incoming promotion: the seconds
+        waited, or ``None`` when a non-blocking claim found no space."""
+        with op.stage(f"reserve-{level.name.lower()}", CAT_RESERVE):
+            return self._cache(level).reserve(
                 record,
                 CkptState.READ_IN_PROGRESS,
                 blocking=blocking,
                 allow_pinned=allow_pinned,
                 speculative=speculative,
             )
-        if gpu_waited is None:
-            # Prefetch lost the GPU claim: fall back to the plain one-level
-            # hop rather than shed the whole promotion.
-            return NotImplemented if fused else None
-        host_waited = 0.0
-        if fused:
-            with op.stage("reserve-host", CAT_RESERVE):
-                host_waited = self.host_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
-            if host_waited is None:
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-                return None
 
-        pipeline = ChunkPipeline(
-            record.ckpt_id,
-            len(sizes),
-            RING_CHUNKS,
-            self.clock,
-            crashed=self.crashed,
-        )
-        pipeline.add_stage("read")
-        pipeline.add_stage("h2d")
-        bus = self.telemetry.bus
-        prefetch_track = f"p{self.process_id}-prefetch"
-
-        def chunk_span(stage: str, tier: str, chunk: int, nbytes: int, t0: float):
-            causal = (
-                {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
-                if op.op_id is not None
-                else {}
-            )
-            bus.complete(
-                f"{stage}-chunk",
-                prefetch_track,
-                t0,
-                self.clock.now() - t0,
-                ckpt=record.ckpt_id,
-                chunk=chunk,
-                bytes=nbytes,
-                **causal,
-            )
-
-        def consume() -> None:
-            try:
-                for i, nbytes in enumerate(h2d_sizes):
-                    if not pipeline.await_upstream("h2d", i):
-                        raise TransferError("streamed promotion abandoned")
-                    t0 = self.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self.device.h2d_link.transfer(nbytes, request=request)
-                    finally:
-                        pipeline.exit_chunk()
-                    chunk_span("h2d", "pcie", i, nbytes, t0)
-                    pipeline.publish("h2d", i)
-                pipeline.finish("h2d")
-            except BaseException:
-                pipeline.fail("h2d")
-                raise
-
-        consumer_error: Optional[BaseException] = None
+    def _promote_chunks(self, plan, stage: str, tier: str, nbytes: int, step, op) -> float:
+        """One stage of a promotion hop: ``step(size)`` per plan chunk of
+        ``nbytes``, each behind the upstream stage and within the ring of
+        the downstream one; the seconds the steps charged."""
+        seconds = 0.0
         try:
-            with op.stage(
-                "promote", CAT_TRANSFER, tier=src_now.name.lower(), dst=dst.name,
-                chunks=pipeline.chunks,
-            ):
-                if src_now == TierLevel.PFS:
-                    reader = store.open_get(
-                        self.store_key(record), node_id=self.node_id, request=request
-                    )
-                else:
-                    reader = store.open_get(self.store_key(record), request=request)
-                read_sizes = chunk_sizes_for(reader.nominal_size, pipeline.chunks)
-                event = self.promote_stream.submit(
-                    consume, label=f"h2d-{record.ckpt_id}"
-                )
+            for chunk, size in enumerate(chunk_sizes_for(nbytes, plan.chunks)):
+                if not (plan.await_upstream(stage, chunk) and plan.throttle(stage, chunk)):
+                    raise TransferError(f"streamed promotion interrupted at {stage}")
+                t0 = self.clock.now()
+                plan.enter_chunk()
                 try:
-                    for i, nbytes in enumerate(read_sizes):
-                        if not pipeline.throttle("read", i):
-                            raise TransferError("streamed promotion interrupted")
-                        t0 = self.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            reader.read(nbytes)
-                        finally:
-                            pipeline.exit_chunk()
-                        chunk_span("read", src_now.name.lower(), i, nbytes, t0)
-                        pipeline.publish("read", i)
-                    payload, _ = reader.finish()
-                    pipeline.payload = payload
-                    pipeline.finish("read")
-                except BaseException:
-                    pipeline.fail("read")
-                    raise
+                    seconds += step(size)
                 finally:
-                    # The consumer owns h2d charges; settle it either way so
-                    # reservations are never released under a live transfer.
-                    try:
-                        event.wait()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        consumer_error = exc
-        except BaseException:
-            if fused:
-                self._release_reservation(self.host_cache, record, TierLevel.HOST)
-            self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-            raise
-        if fused:
-            # Host landing first: it is the durable staging copy and must be
-            # consistent before the GPU extent becomes consumable.
-            self.host_cache.write_payload(record, payload)
-            with self.monitor:
-                record.instance(TierLevel.HOST).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
+                    plan.exit_chunk()
+                plan.chunk_span(
+                    self.telemetry.bus, self._prefetch_track, op, stage, tier, chunk, size, t0
                 )
-                if self._reduced_at(record, TierLevel.HOST):
-                    self.reducer.attach(record, TierLevel.HOST)
-                self.monitor.notify_all()
-        if consumer_error is not None:
-            # Preempted (or shed) mid-crossing: the host copy — when fused —
-            # stays (mirroring the two-step path where the first hop had
-            # already landed), the GPU claim is rolled back.
-            self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-            raise consumer_error
-        self.gpu_cache.write_payload(record, payload)
-        with self.monitor:
-            record.instance(TierLevel.GPU).transition(
-                CkptState.READ_COMPLETE, self.clock.now()
-            )
-            if self._reduced_at(record, TierLevel.GPU):
-                self.reducer.attach(record, TierLevel.GPU)
-            self.monitor.notify_all()
-        return gpu_waited + host_waited + pipeline.active_s
+                plan.publish(stage, chunk)
+            plan.finish(stage)
+        except BaseException:
+            plan.fail(stage)
+            raise
+        return seconds
 
-    def _release_reservation(self, cache, record: CheckpointRecord, level: TierLevel) -> None:
-        """Undo a READ_IN_PROGRESS reservation whose transfer failed."""
-        cache.release(record)
+    def _land(self, record: CheckpointRecord, level: TierLevel, payload=None) -> None:
+        """Commit a promoted extent: its bytes (unless written eagerly),
+        ``READ_COMPLETE``, the reducer's chunk references, a notify."""
+        if payload is not None:
+            self._cache(level).write_payload(record, payload)
+        with self.monitor:
+            record.instance(level).transition(CkptState.READ_COMPLETE, self.clock.now())
+            if self._reduced_at(record, level):
+                self.reducer.attach(record, level)
+            self.monitor.notify_all()
 
     def _current_source_level(self, record: CheckpointRecord) -> str:
         fastest = record.fastest_cached_level()

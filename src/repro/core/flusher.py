@@ -93,7 +93,7 @@ class Flusher:
         )
         self.repl_stream = (
             engine.device.create_stream("flush-repl")
-            if engine.partner_ssd is not None
+            if engine.replica_targets
             else None
         )
         self.abandoned = 0
@@ -690,27 +690,6 @@ class Flusher:
             self.engine.process_id, stage, record.ckpt_id, reason,
         )
 
-    def _chunk_span(
-        self,
-        stage: str,
-        tier: str,
-        record: "CheckpointRecord",
-        chunk: int,
-        nbytes: int,
-        t0: float,
-    ) -> None:
-        """One chunk slice, nested under the stage span on the same track."""
-        self.telemetry.bus.complete(
-            f"{stage}-chunk",
-            self._track_for(stage),
-            t0,
-            self.engine.clock.now() - t0,
-            ckpt=record.ckpt_id,
-            chunk=chunk,
-            bytes=nbytes,
-            **self._causal(self._op(record), tier),
-        )
-
     def _account_stream(self, pipeline: ChunkPipeline) -> None:
         """Roll one finished pipeline into the occupancy gauges."""
         with self._stream_lock:
@@ -777,8 +756,10 @@ class Flusher:
                 )
             finally:
                 pipeline.exit_chunk()
-            if pipeline is not SERIAL:  # a whole-object stage span is its own chunk
-                self._chunk_span(stage, tier, record, chunk, nbytes, t0)
+            pipeline.chunk_span(
+                self.telemetry.bus, self._track_for(stage), self._op(record),
+                stage, tier, chunk, nbytes, t0,
+            )
             pipeline.publish(stage, chunk)
         return True
 

@@ -1,8 +1,11 @@
 """Asynchronous multi-tier prefetching (T_PF of Section 4.3.1).
 
 One daemon thread per engine promotes *hinted* checkpoints toward the GPU
-cache in restore order, one level per step (SSD→host, host→GPU), using
-non-blocking reservations.  Promotion stops at the *budget*:
+cache in restore order, one hop per step (SSD/PFS→host, host→GPU; SSD/PFS→GPU
+under GPUDirect), using non-blocking reservations.  A hop off storage whose
+chunk plan is a ring lands the host *and* the GPU copy in one step (the fused
+promotion of ``ScoreEngine.promote_once``), so it is admitted only while
+both budgets have room.  Promotion stops at the *budget*:
 prefetched-but-unconsumed bytes may occupy at most
 ``prefetch_budget_fraction`` of a cache, which prevents prefetches from
 starving writes and is the paper's anti-thrashing throttle.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Optional, Tuple, TYPE_CHECKING
 
+from repro.core.streaming import SERIAL
 from repro.errors import AdmissionError, ReproError, TransientTransferError
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
@@ -256,14 +260,14 @@ class Prefetcher:
                 ):
                     return None
                 if (
-                    engine.streaming
-                    and engine.gpu_cache.pinned_bytes()
-                    + record.stored_size(TierLevel.GPU)
+                    engine.gpu_cache.pinned_bytes() + record.stored_size(TierLevel.GPU)
                     > gpu_budget
+                    and engine._promote_plan(record, src, dst) is not SERIAL
                 ):
-                    # A fused streamed promotion claims a GPU extent along
-                    # with the host one; hold off until consumption frees
-                    # GPU budget rather than overshoot it.
+                    # A ring hop to the host is fused: it claims a GPU
+                    # extent along with the host one, so hold off until
+                    # consumption frees GPU budget rather than overshoot
+                    # it.  The one-chunk hop claims the host only.
                     return None
             return (record, src, dst, distance, explicit)
         return None

@@ -11,7 +11,8 @@ differ under reduction — chunk *boundaries* are per stage); a consumer
 stage charges chunk ``i`` on its link only once the upstream stage has
 published chunk ``i``, and a producer stage parks once it runs
 :attr:`~ChunkPipeline.ring` chunks ahead of its slowest consumer — the
-bounded ring buffer providing backpressure.
+bounded ring buffer providing backpressure.  A promotion hop off storage
+takes a chunk plan the same way.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
@@ -31,6 +32,7 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.clock import VirtualClock
+from repro.telemetry.causal import CAT_TRANSFER
 
 #: fewest chunks worth streaming: a shorter transfer takes the one-chunk
 #: plan, since per-chunk latency would dominate it.
@@ -105,6 +107,9 @@ class SerialPlan:
 
     def release(self) -> bool:
         return False
+
+    def chunk_span(self, bus, track, op, stage, tier, chunk, nbytes, t0) -> None:
+        pass  # a whole-object stage span is its own chunk
 
 
 SERIAL = SerialPlan()
@@ -313,6 +318,24 @@ class ChunkPipeline:
             return None
 
         return self._stalled_wait(stage, ready)
+
+    def chunk_span(self, bus, track, op, stage, tier, chunk, nbytes, t0) -> None:
+        """One ``<stage>-chunk`` slice on ``track``, nested under the stage
+        span; the causal args ride along only when ``op`` is traced, so an
+        untraced run's args stay byte-identical."""
+        causal = {}
+        if op.op_id is not None:
+            causal = {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
+        bus.complete(
+            f"{stage}-chunk",
+            track,
+            t0,
+            self.clock.now() - t0,
+            ckpt=self.ckpt_id,
+            chunk=chunk,
+            bytes=nbytes,
+            **causal,
+        )
 
     # -- occupancy accounting ----------------------------------------------
     def enter_chunk(self) -> None:

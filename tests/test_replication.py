@@ -1,11 +1,14 @@
-"""Partner replication across nodes (VELOC resilience strategy)."""
+"""Partner replication across nodes (VELOC resilience strategy), and the
+corruption scrub over every replica target."""
 
 import pytest
 
+from repro.config import ClusterConfig, ResilienceConfig
 from repro.core.engine import ScoreEngine
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
 from tests.conftest import make_buffer, tiny_config
+from tests.test_faults_recovery import _tamper
 
 CKPT = 128 * MiB
 
@@ -24,8 +27,10 @@ class TestReplication:
             for v in range(3):
                 engine.checkpoint(v, make_buffer(ctxs[0], CKPT, seed=v))
             engine.wait_for_flushes()
-            assert engine.partner_node_id == 1
             partner_ssd = two_node_cluster.nodes[1].ssd
+            assert [(node, ssd) for node, ssd, _link in engine.replica_targets] == [
+                (1, partner_ssd)
+            ]
             for v in range(3):
                 assert partner_ssd.contains((engine.process_id, v))
             assert engine.flusher.replicated == 3
@@ -35,7 +40,8 @@ class TestReplication:
     def test_noop_on_single_node(self, cluster, context):
         engine = ScoreEngine(context, partner_replication=True)
         try:
-            assert engine.partner_ssd is None
+            assert engine.replica_targets == []
+            assert engine.flusher.repl_stream is None
             engine.checkpoint(0, make_buffer(context, CKPT))
             engine.wait_for_flushes()
         finally:
@@ -88,3 +94,38 @@ class TestReplication:
                 assert payload.size > 0
         finally:
             engine.close()
+
+
+def test_corruption_scrub_covers_every_replica():
+    """A corrupt blob found at restore is scrubbed from every replica that
+    holds one, not only from the first; the restore is served from the
+    pristine replica."""
+    cfg = tiny_config(
+        num_nodes=3,
+        processes_per_node=1,
+        cluster=ClusterConfig(enabled=True, replica_factor=3),
+        resilience=ResilienceConfig(enabled=True),
+    )
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx) as engine:
+            buf = make_buffer(ctx, CKPT, seed=0)
+            engine.checkpoint(0, buf)
+            assert engine.wait_for_flushes(timeout=600.0)
+            key = engine.store_key(engine.catalog.get(0))
+            targets = [ssd for _node, ssd, _link in engine.replica_targets]
+        home, first, second = cluster.nodes[0].ssd, *targets
+        assert all(ssd.contains(key) for ssd in (home, first, second))
+        # Rot at rest on the home copy and on the second replica.
+        _tamper(home, key)
+        _tamper(second, key)
+        with ScoreEngine(ctx) as engine2:
+            assert engine2.recover_history() == 1
+            out = ctx.device.alloc_buffer(CKPT)
+            engine2.restore(0, out)
+            assert out.checksum() == buf.checksum()
+            assert first.contains(key) and first.verify(key)
+            assert not home.contains(key)
+            assert not second.contains(key)
+            reg = cluster.telemetry.registry
+            assert reg.counter("resilience.corruption_repairs").value == 2

@@ -18,6 +18,11 @@ The acceptance bar for the streaming subsystem:
   dead put had consumed, and the rerouted checkpoint restores verified
   bytes;
 * a streamed PFS upgrade around an enabled write aggregator is counted;
+* a streamed promotion to the host fuses the GPU hop (chunked read and
+  H2D slices), and falls back to the host-only hop across a host-site
+  decode or a lost non-blocking GPU claim; GPUDirect streams SSD → GPU;
+* under the one-chunk plan, hinted prefetch stages the same checkpoints
+  per level as with streaming off;
 * (property) streamed and store-and-forward runs restore identical
   payload checksums for arbitrary snapshot-size mixes.
 
@@ -34,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
 from repro.config import (
+    AnalysisConfig,
     ClusterConfig,
     FaultConfig,
     ReduceConfig,
@@ -365,6 +371,229 @@ class TestStreamedCascade:
                     engine.restore(v, out)
                     assert out.checksum() == sums[v]
                 validate_engine(engine)
+
+
+def _await_prefetch_idle(engine, budget_s=600.0):
+    """Block until the prefetcher has nothing left to do: no promotion in
+    flight and no task it would pick (every state change it waits on
+    notifies the monitor, so this is not a fixed sleep)."""
+    deadline = engine.clock.now() + budget_s
+    with engine.monitor:
+        while True:
+            inflight = any(r.prefetch_inflight for r in engine.catalog.all_records())
+            if not inflight and engine.prefetcher._pick_task() is None:
+                return
+            assert engine.clock.now() < deadline, "prefetcher never went idle"
+            engine.monitor.wait(virtual_timeout=1.0)
+
+
+def _hinted_scenario(stream_cfg, count=24):
+    """Forward hints on every checkpoint that only the SSD still holds,
+    more than the GPU prefetch budget admits; returns which checkpoints
+    each cache level staged once the prefetcher went idle, and how many
+    promotions it ran."""
+    cfg = tiny_config()
+    if stream_cfg is not None:
+        cfg = cfg.with_(stream=stream_cfg)
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx) as engine:
+            for v in range(count):
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+                # One flush at a time, so eviction decisions are repeatable.
+                assert engine.wait_for_flushes(timeout=600.0)
+            with engine.monitor:
+                ssd_only = [
+                    v
+                    for v in range(count)
+                    if engine.catalog.get(v).fastest_cached_level() is None
+                ]
+            assert len(ssd_only) > 4  # the GPU cache holds four
+            for v in ssd_only:
+                engine.prefetch_enqueue(v)
+            engine.prefetch_start()
+            _await_prefetch_idle(engine)
+            with engine.monitor:
+                staged = {
+                    level.name: sorted(
+                        v
+                        for v in range(count)
+                        if (inst := engine.catalog.get(v).peek(level)) is not None
+                        and inst.has_copy
+                    )
+                    for level in (TierLevel.GPU, TierLevel.HOST)
+                }
+            return staged, engine.prefetcher.promotions
+
+
+def test_one_chunk_prefetch_stages_like_store_and_forward():
+    """Prefetch admission under the one-chunk plan matches streaming off:
+    a hop that will not fuse claims no GPU extent, so it must not be held
+    back by the GPU budget either."""
+    disabled = _hinted_scenario(None)
+    one_chunk = _hinted_scenario(StreamConfig(enabled=True, stream_chunk_bytes=CKPT))
+    assert one_chunk == disabled
+
+
+# -- streamed promotion: the fused hop and its fallbacks --------------------
+PROMOTE_CHUNK = 16 * MiB  # 8 chunks per 128 MiB checkpoint
+
+
+class TestStreamedPromotion:
+    def _engine_cfg(self, **changes):
+        return tiny_config(
+            telemetry=True,
+            analysis=AnalysisConfig(enabled=True),  # promote stage spans
+            stream=StreamConfig(enabled=True, stream_chunk_bytes=PROMOTE_CHUNK),
+            **changes,
+        )
+
+    @staticmethod
+    def _promote(engine, record, src, dst, blocking=True):
+        """One ``promote_once`` under a causal op: its seconds, and the
+        ``chunks`` arg of the ``promote`` stage span it emitted."""
+        bus = engine.telemetry.bus
+        before = len(bus.snapshot())
+        seconds = engine.promote_once(
+            record, src, dst, blocking=blocking, allow_pinned=blocking,
+            op=engine.ops.prefetch(record.ckpt_id, "test-promote"),
+        )
+        chunks = [
+            ev.args.get("chunks") for ev in bus.snapshot()[before:] if ev.name == "promote"
+        ]
+        return seconds, chunks
+
+    @staticmethod
+    def _durable_only(engine, record):
+        """Drop the cached copies so only the durable one is left."""
+        engine.gpu_cache.release(record)
+        engine.host_cache.release(record)
+
+    @staticmethod
+    def _chunk_spans(cluster, ckpt_id):
+        counts = {}
+        for ev in cluster.telemetry.bus.snapshot():
+            if ev.name in ("read-chunk", "h2d-chunk") and ev.args.get("ckpt") == ckpt_id:
+                counts[ev.name] = counts.get(ev.name, 0) + 1
+        return counts
+
+    @staticmethod
+    def _has_copy(record, level):
+        inst = record.peek(level)
+        return inst is not None and inst.has_copy
+
+    def _restores(self, engine, ctx, v, expected):
+        out = ctx.device.alloc_buffer(CKPT)
+        engine.restore(v, out)
+        assert out.checksum() == expected
+
+    def test_ssd_to_host_fuses_both_levels(self):
+        """One SSD→host call lands the host *and* the GPU copy from one
+        chunked read, the H2D crossing chunk by chunk behind it."""
+        with Cluster(self._engine_cfg()) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx) as engine:
+                buf = make_buffer(ctx, CKPT, seed=0)
+                engine.checkpoint(0, buf)
+                assert engine.wait_for_flushes(timeout=600.0)
+                record = engine.catalog.get(0)
+                self._durable_only(engine, record)
+                seconds, chunks = self._promote(engine, record, TierLevel.SSD, TierLevel.HOST)
+                assert seconds is not None and seconds > 0
+                assert chunks == [8]
+                assert self._has_copy(record, TierLevel.HOST)
+                assert self._has_copy(record, TierLevel.GPU)
+                assert self._chunk_spans(cluster, 0) == {"read-chunk": 8, "h2d-chunk": 8}
+                self._restores(engine, ctx, 0, buf.checksum())
+                validate_engine(engine)
+
+    def test_host_site_reduction_takes_the_host_only_hop(self):
+        """A host-site decode sits between the two levels: the hop lands
+        the host copy only, whole, and the GPU hop decodes afterwards."""
+        cfg = self._engine_cfg(reduce=ReduceConfig(enabled=True, site="host"))
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx) as engine:
+                buf = make_buffer(ctx, CKPT, seed=0)
+                engine.checkpoint(0, buf)
+                assert engine.wait_for_flushes(timeout=600.0)
+                record = engine.catalog.get(0)
+                self._durable_only(engine, record)
+                assert self._promote(engine, record, TierLevel.SSD, TierLevel.HOST)[0] is not None
+                assert self._has_copy(record, TierLevel.HOST)
+                assert record.peek(TierLevel.GPU) is None
+                assert self._chunk_spans(cluster, 0) == {}
+                self._restores(engine, ctx, 0, buf.checksum())
+                validate_engine(engine)
+
+    def test_lost_gpu_claim_takes_the_host_only_hop(self):
+        """A non-blocking promotion whose GPU claim finds only pinned
+        extents still stages the host copy instead of giving up."""
+        with Cluster(self._engine_cfg()) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx) as engine:
+                sums = {}
+                for v in range(5):  # the GPU cache holds four
+                    buf = make_buffer(ctx, CKPT, seed=v)
+                    sums[v] = buf.checksum()
+                    engine.checkpoint(v, buf)
+                assert engine.wait_for_flushes(timeout=600.0)
+                records = [engine.catalog.get(v) for v in range(5)]
+                for record in records:
+                    self._durable_only(engine, record)
+                for record in records[1:]:
+                    # Fused stagings, pinned until consumed: a full GPU cache.
+                    engine.promote_once(
+                        record, TierLevel.SSD, TierLevel.HOST,
+                        blocking=True, allow_pinned=True,
+                    )
+                    assert self._has_copy(record, TierLevel.GPU)
+                seconds, _ = self._promote(
+                    engine, records[0], TierLevel.SSD, TierLevel.HOST, blocking=False
+                )
+                assert seconds is not None
+                assert self._has_copy(records[0], TierLevel.HOST)
+                assert records[0].peek(TierLevel.GPU) is None
+                assert self._chunk_spans(cluster, 0) == {}
+                for v in range(5):
+                    self._restores(engine, ctx, v, sums[v])
+                validate_engine(engine)
+
+    def test_gpudirect_streams_ssd_to_gpu(self):
+        """GPUDirect promotions read storage straight into HBM as a ring."""
+        with Cluster(self._engine_cfg()) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, gpudirect=True) as engine:
+                buf = make_buffer(ctx, CKPT, seed=0)
+                engine.checkpoint(0, buf)
+                assert engine.wait_for_flushes(timeout=600.0)
+                record = engine.catalog.get(0)
+                self._durable_only(engine, record)
+                assert engine.promotion_step(record) == (TierLevel.SSD, TierLevel.GPU)
+                seconds, chunks = self._promote(engine, record, TierLevel.SSD, TierLevel.GPU)
+                assert seconds is not None
+                assert chunks == [8]
+                assert self._has_copy(record, TierLevel.GPU)
+                assert record.peek(TierLevel.HOST) is None
+                assert self._chunk_spans(cluster, 0) == {"read-chunk": 8, "h2d-chunk": 8}
+                assert engine.host_cache.table.used_bytes == 0
+                self._restores(engine, ctx, 0, buf.checksum())
+                validate_engine(engine)
+
+    def test_one_chunk_promote_stage_carries_chunks(self):
+        """Every promote stage span says how many chunks it moved: 1 for a
+        store-and-forward hop, like the flush stage spans."""
+        cfg = tiny_config(telemetry=True, analysis=AnalysisConfig(enabled=True))
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx) as engine:
+                engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
+                assert engine.wait_for_flushes(timeout=600.0)
+                record = engine.catalog.get(0)
+                self._durable_only(engine, record)
+                for src, dst in ((TierLevel.SSD, TierLevel.HOST), (TierLevel.HOST, TierLevel.GPU)):
+                    assert self._promote(engine, record, src, dst)[1] == [1]
+                assert self._chunk_spans(cluster, 0) == {}
 
 
 # -- streaming + faults ------------------------------------------------------
