@@ -264,7 +264,11 @@ class PeerSsdStore:
     def delete(self, key: StoreKey) -> None:
         self.remote.delete(key)
 
-    def open_get(self, key: StoreKey, request=None, nominal_size: Optional[int] = None):
+    def open_get(
+        self, key: StoreKey, node_id: int = 0, request=None, nominal_size: Optional[int] = None
+    ):
+        """``node_id`` is accepted like every store's; the hop always ends
+        at ``reader_node``."""
         return _PeerGet(self, key, request=request, nominal_size=nominal_size)
 
     def get(self, key: StoreKey, request=None):

@@ -546,7 +546,8 @@ class ResilienceConfig:
     independent of store scans.
     """
 
-    #: master switch for every recovery mechanism below.
+    #: master switch for every recovery mechanism: retries and breakers
+    #: (tuned below), SSD reroute with backfill, reverify, and the journal.
     enabled: bool = False
     #: retry budget per transfer leg for TransientTransferErrors.
     max_retries: int = 4
@@ -566,18 +567,6 @@ class ResilienceConfig:
     #: nominal seconds an open breaker waits before admitting one
     #: half-open probe.
     breaker_reset_s: float = 5.0
-    #: when the SSD breaker is open, flush host copies directly to the PFS
-    #: (GPU→host→PFS) instead of abandoning durability.
-    reroute: bool = True
-    #: when a rerouted tier recovers, backfill the skipped SSD copies from
-    #: the PFS/host so reads regain the fast path.
-    backfill: bool = True
-    #: CRC-verify durable blobs right after the flush write and re-flush
-    #: from the in-hand payload on mismatch.
-    reverify: bool = True
-    #: append every durable commit to the manifest journal and replay it in
-    #: ``recover_history()`` (store scans remain the fallback).
-    journal: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

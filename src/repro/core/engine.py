@@ -521,7 +521,7 @@ class ScoreEngine:
         Written *after* the blob is durable: a crash in between leaves at
         worst an unjournaled blob the recovery scan still finds.
         """
-        if not (self.resilient and self.config.resilience.journal):
+        if not self.resilient:
             return
         op = record.op if record.op is not None else NULL_OP
         with op.stage("journal-commit", CAT_JOURNAL, store=store_id, level=level.name):
@@ -536,7 +536,7 @@ class ScoreEngine:
 
     def _journal_retract(self, record: CheckpointRecord, store_id: str) -> None:
         """Append a retract entry after deleting ``store_id``'s blob."""
-        if not (self.resilient and self.config.resilience.journal):
+        if not self.resilient:
             return
         op = record.op if record.op is not None else NULL_OP
         with op.stage("journal-retract", CAT_JOURNAL, store=store_id):
@@ -1134,8 +1134,9 @@ class ScoreEngine:
                 "promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name,
                 chunks=plan.chunks,
             ):
-                node = {"node_id": self.node_id} if src == TierLevel.PFS else {}
-                reader = store.open_get(self.store_key(record), request=request, **node)
+                reader = store.open_get(
+                    self.store_key(record), node_id=self.node_id, request=request
+                )
                 crossing = consumer = None
                 if levels[-1] == TierLevel.GPU:
                     wire = record.wire_size(TierLevel.HOST if fused else src, TierLevel.GPU)
@@ -1384,7 +1385,7 @@ class ScoreEngine:
             sources.append((TierLevel.PFS, self.pfs, "pfs"))
         store_map = {track: (level, store) for level, store, track in sources}
         with self.monitor:
-            if self.resilient and self.config.resilience.journal:
+            if self.resilient:
                 for ckpt_id, locations in sorted(
                     self.journal.entries_for(self.process_id).items()
                 ):

@@ -444,8 +444,7 @@ class Flusher:
         engine = self.engine
         key = engine.store_key(record)
         breaker = engine.ssd._track
-        rcfg = engine.config.resilience
-        reroute = engine.resilient and rcfg.reroute and engine.pfs is not None
+        reroute = engine.resilient and engine.pfs is not None
         op = self._op(record)
         track = self._track_for(stage)
         stored = record.stored_size(TierLevel.SSD)
@@ -486,7 +485,7 @@ class Flusher:
         except TransferError:
             self._abandon(stage, record, "cancelled mid-transfer")
             return None
-        if engine.resilient and rcfg.reverify:
+        if engine.resilient:
 
             def reput() -> None:
                 engine.ssd.put(
@@ -526,7 +525,6 @@ class Flusher:
         engine = self.engine
         pfs = engine.pfs
         key = engine.store_key(record)
-        rcfg = engine.config.resilience
         op = self._op(record)
         track = self._track_for(stage)
         self._skip_upgrade(pipeline)  # the blob is going to the PFS now
@@ -581,9 +579,7 @@ class Flusher:
                     self._bail(stage, record, "upstream abandoned")
                     return None
                 handle.commit(payload, meta=engine.recovery_meta(record))
-                if rcfg.reverify and not self._reverify(
-                    reroute_stage, record, pfs, "pfs", reput
-                ):
+                if not self._reverify(reroute_stage, record, pfs, "pfs", reput):
                     pfs.delete(key)
                     engine._journal_retract(record, "pfs")
                     self._abandon(stage, record, "persistent corruption on PFS reroute")
@@ -602,9 +598,8 @@ class Flusher:
         engine._journal_commit(record, TierLevel.PFS, "pfs")
         if first_durable:
             self._mark_durable(record, op, stage, TierLevel.PFS)
-        if rcfg.backfill:
-            with self._backfill_lock:
-                self._backfill.append(record)
+        with self._backfill_lock:
+            self._backfill.append(record)
         return "pfs"
 
     def _drain_backfill(self) -> None:
@@ -1292,7 +1287,7 @@ class Flusher:
                             "the write aggregator",
                             engine.process_id, record.ckpt_id,
                         )
-                if engine.resilient and engine.config.resilience.reverify:
+                if engine.resilient:
                     with op.stage(
                         "reverify", CAT_RETRY, track=self._tracks["f2p"], tier="pfs"
                     ):

@@ -8,8 +8,10 @@ Contention model: a transfer is split into fixed-size nominal chunks and the
 chunks of concurrent transfers interleave through a FIFO mutex.  Two steady
 concurrent users therefore each observe ~half the link bandwidth — the
 behaviour the paper's scalability study depends on — while head-of-line
-blocking is bounded by one chunk.  The per-transfer ``latency`` models
-command submission cost and is paid once per transfer, outside the mutex.
+blocking is bounded by one chunk.  With a QoS scheduler attached, the same
+chunk loop asks the scheduler for each chunk (a quantum) instead of the
+mutex.  The per-transfer ``latency`` models command submission cost and is
+paid once per transfer, before the first grant.
 
 The link also keeps running totals (``busy_time``, ``bytes_moved``,
 ``pending_bytes``) used both for metrics and by the Score runtime's
@@ -120,12 +122,11 @@ class Link:
         caller for the (contended) transfer duration.
 
         Returns the *accounted* nominal duration: submission latency, plus
-        bytes over bandwidth, plus the time spent queued behind other
-        transfers' chunks.  The accounted figure is what callers should
-        charge to blocking-time metrics — it excludes the Python-level
-        bookkeeping around the sleeps, which at aggressive ``time_scale``
-        would otherwise dominate short transfers when measured by wall
-        clock.
+        bytes over bandwidth, plus the time spent waiting for the link to
+        be granted.  The accounted figure is what callers should charge to
+        blocking-time metrics — it excludes the Python-level bookkeeping
+        around the sleeps, which at aggressive ``time_scale`` would
+        otherwise dominate short transfers when measured by wall clock.
 
         If ``cancelled`` is set while chunks remain, raises
         :class:`TransferError` — the flusher uses this to abandon flushes of
@@ -134,10 +135,16 @@ class Link:
         the latency span and zero-byte transfers), so an already-cancelled
         transfer aborts immediately.
 
-        When a :class:`repro.sched.LinkScheduler` is attached and the caller
-        tags the transfer with a ``request``, arbitration replaces the FIFO
-        chunk interleave (see :meth:`_transfer_scheduled`); ``request``'s
-        cancellation event then also cancels this transfer (preemption).
+        One chunk loop serves both grant policies.  By default the FIFO
+        mutex grants each chunk (a transfer alone on the link moves its
+        whole remainder in one span).  When a
+        :class:`repro.sched.LinkScheduler` is attached and the caller tags
+        the transfer with a ``request``, the scheduler grants one quantum
+        at a time instead, so priority classes, WFQ shares and token
+        buckets are enforced between quanta; admission (``open``) runs
+        before any bytes are announced as pending, and ``request``'s
+        cancellation event also cancels this transfer (preemption), even
+        mid-quantum.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -145,14 +152,14 @@ class Link:
             cancelled = request.cancel_event
         if cancelled is not None and cancelled.is_set():
             # Zero-progress abort: no pending-byte accounting to undo.
-            raise TransferError(
-                f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-            )
+            raise self._cancel_error(nbytes)
         fail_after = None
         if self.fault_injector is not None and nbytes > 0:
             fail_after = self.fault_injector.draw(nbytes)
-        if self.scheduler is not None and request is not None:
-            return self._transfer_scheduled(nbytes, cancelled, request, fail_after)
+        sched = self.scheduler if request is not None else None
+        # Admission first: a shed transfer must not perturb pending_bytes
+        # (the Score runtime's flush/prefetch estimator reads it).
+        entry = sched.open(request, nbytes) if sched is not None else None
         with self._stats_lock:
             self._pending_bytes += nbytes
             self._transfers += 1
@@ -165,36 +172,43 @@ class Link:
         try:
             if self.latency:
                 if self._sleep_span(self.latency, cancelled):
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
+                    raise self._cancel_error(nbytes)
                 accounted += self.latency
             per_byte = 1.0 / self.bandwidth
             while remaining > 0:
                 if cancelled is not None and cancelled.is_set():
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
+                    raise self._cancel_error(nbytes)
                 if fail_after is not None and nbytes - remaining >= fail_after:
                     raise self.fault_injector.fault(nbytes, nbytes - remaining)
-                # Adaptive coalescing: when this is the only transfer in
-                # flight, interleaving chunks through the mutex buys nothing
-                # — move the whole remainder in one span.  Under contention
-                # the per-chunk interleave (and its halved-throughput
-                # semantics) is preserved.
-                with self._stats_lock:
-                    alone = self._active == 1
-                span = remaining if alone else min(remaining, self.chunk_size)
+                if sched is not None:
+                    span = min(remaining, sched.quantum)
+                else:
+                    # Adaptive coalescing: when this is the only transfer in
+                    # flight, interleaving chunks through the mutex buys
+                    # nothing — move the whole remainder in one span.  Under
+                    # contention the per-chunk interleave (and its
+                    # halved-throughput semantics) is preserved.
+                    with self._stats_lock:
+                        alone = self._active == 1
+                    span = remaining if alone else min(remaining, self.chunk_size)
                 if fail_after is not None:
                     span = min(span, fail_after - (nbytes - remaining))
                 queued_at = self._clock.now()
-                with self._mutex:
+                if sched is None:
+                    self._mutex.acquire()
+                else:
+                    sched.acquire(entry)  # raises TransferError when cancelled
+                served = 0
+                try:
                     accounted += self._clock.now() - queued_at  # contention
                     if self._sleep_span(span * per_byte, cancelled):
-                        raise TransferError(
-                            f"transfer of {nbytes} bytes on link {self.name!r} "
-                            "cancelled"
-                        )
+                        raise self._cancel_error(nbytes)
+                    served = span
+                finally:
+                    if sched is None:
+                        self._mutex.release()
+                    else:
+                        sched.release(entry, served)
                 accounted += span * per_byte
                 busy_unflushed += span * per_byte
                 moved_unflushed += span
@@ -207,6 +221,8 @@ class Link:
                     moved_unflushed = 0
                     busy_unflushed = 0.0
         finally:
+            if sched is not None:
+                sched.finish(entry)
             with self._stats_lock:
                 self._active -= 1
                 self._busy_time += busy_unflushed
@@ -215,87 +231,8 @@ class Link:
                 self._pending_bytes -= moved_unflushed + remaining
         return accounted
 
-    def _transfer_scheduled(
-        self,
-        nbytes: int,
-        cancelled: Optional[threading.Event],
-        request: "TransferRequest",
-        fail_after: Optional[int] = None,
-    ) -> float:
-        """Arbitrated transfer: the scheduler grants the link in quanta.
-
-        Each quantum (at most ``scheduler.quantum`` bytes) is acquired from
-        the arbiter, slept, and released — so priority classes, WFQ shares
-        and token buckets are enforced between quanta, and a preemption
-        (the request's cancellation event) interrupts even mid-quantum via
-        :meth:`_sleep_span`.  Admission control runs in ``open`` before any
-        bytes are announced as pending.  Stats accounting matches the FIFO
-        path: grant waits count as contention in the accounted duration.
-        """
-        sched = self.scheduler
-        assert sched is not None
-        # Admission first: a shed transfer must not perturb pending_bytes
-        # (the Score runtime's flush/prefetch estimator reads it).
-        entry = sched.open(request, nbytes)
-        with self._stats_lock:
-            self._pending_bytes += nbytes
-            self._transfers += 1
-            self._active += 1
-        remaining = nbytes
-        accounted = 0.0
-        moved_unflushed = 0
-        busy_unflushed = 0.0
-        batch = STATS_BATCH_CHUNKS * self.chunk_size
-        try:
-            if self.latency:
-                if self._sleep_span(self.latency, cancelled):
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
-                accounted += self.latency
-            per_byte = 1.0 / self.bandwidth
-            while remaining > 0:
-                if cancelled is not None and cancelled.is_set():
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
-                if fail_after is not None and nbytes - remaining >= fail_after:
-                    raise self.fault_injector.fault(nbytes, nbytes - remaining)
-                span = min(remaining, sched.quantum)
-                if fail_after is not None:
-                    span = min(span, fail_after - (nbytes - remaining))
-                queued_at = self._clock.now()
-                sched.acquire(entry)  # raises TransferError when cancelled
-                served = 0
-                try:
-                    accounted += self._clock.now() - queued_at  # arbitration wait
-                    if self._sleep_span(span * per_byte, cancelled):
-                        raise TransferError(
-                            f"transfer of {nbytes} bytes on link {self.name!r} "
-                            "cancelled"
-                        )
-                    served = span
-                finally:
-                    sched.release(entry, served)
-                accounted += span * per_byte
-                busy_unflushed += span * per_byte
-                moved_unflushed += span
-                remaining -= span
-                if moved_unflushed >= batch:
-                    with self._stats_lock:
-                        self._busy_time += busy_unflushed
-                        self._bytes_moved += moved_unflushed
-                        self._pending_bytes -= moved_unflushed
-                    moved_unflushed = 0
-                    busy_unflushed = 0.0
-        finally:
-            sched.finish(entry)
-            with self._stats_lock:
-                self._active -= 1
-                self._busy_time += busy_unflushed
-                self._bytes_moved += moved_unflushed
-                self._pending_bytes -= moved_unflushed + remaining
-        return accounted
+    def _cancel_error(self, nbytes: int) -> TransferError:
+        return TransferError(f"transfer of {nbytes} bytes on link {self.name!r} cancelled")
 
     def _sleep_span(
         self, virtual_seconds: float, cancelled: Optional[threading.Event]

@@ -5,7 +5,8 @@ contiguous arenas managed by the runtime's eviction logic
 (:mod:`repro.core.cache`).  Level 2 (node-local SSD) and level 3 (parallel
 file system) are throttled object stores assumed large enough for a node's /
 the job's full checkpoint history (the paper's capacity assumption,
-Section 2).
+Section 2); both are one :class:`ObjectStore` that differs only in the
+links a chunk crosses.
 """
 
 from repro.tiers.base import ObjectStore, TierLevel

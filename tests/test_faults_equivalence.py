@@ -128,10 +128,6 @@ def test_disabled_faults_and_resilience_are_bit_identical():
             retry_classes=(("CASCADE_FLUSH", 2),),
             breaker_threshold=1,
             breaker_reset_s=0.1,
-            reroute=False,
-            backfill=False,
-            reverify=False,
-            journal=False,
         ),
     )
     for got, want in zip(off, default):

@@ -23,6 +23,7 @@ The acceptance bar for the streaming subsystem:
   decode or a lost non-blocking GPU claim; GPUDirect streams SSD → GPU;
 * under the one-chunk plan, hinted prefetch stages the same checkpoints
   per level as with streaming off;
+* a ring's SSD read-back counts its read op like a store-and-forward one;
 * (property) streamed and store-and-forward runs restore identical
   payload checksums for arbitrary snapshot-size mixes.
 
@@ -371,6 +372,32 @@ class TestStreamedCascade:
                     engine.restore(v, out)
                     assert out.checksum() == sums[v]
                 validate_engine(engine)
+
+
+def _ssd_reads(stream_cfg, count=6):
+    """Flush ``count`` checkpoints down to the PFS (each upgrade reads the
+    SSD copy back) and return the SSD's read counters."""
+    cfg = tiny_config(telemetry=True, stream=stream_cfg)
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            for v in range(count):
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+            assert engine.wait_for_flushes(timeout=600.0)
+        registry = cluster.telemetry.registry
+        return (
+            registry.counter("tier.ssd.read_ops").value,
+            registry.counter("tier.ssd.read_bytes").value,
+        )
+
+
+def test_ring_read_back_counts_its_read_op():
+    """A ring's SSD read-back hands its payload over through the pipeline,
+    never through ``finish()``; it is still one read op per checkpoint."""
+    disabled = _ssd_reads(StreamConfig(enabled=False))
+    ring = _ssd_reads(StreamConfig(enabled=True, stream_chunk_bytes=4 * MiB))
+    assert disabled == (6, 6 * CKPT)
+    assert ring == disabled
 
 
 def _await_prefetch_idle(engine, budget_s=600.0):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import HardwareSpec, ScaleModel
+from repro.config import FaultConfig, HardwareSpec, ResilienceConfig, ScaleModel
 from repro.errors import CheckpointNotFound, ConfigError
+from repro.faults.injector import FaultDomain
 from repro.tiers.base import TierLevel
 from repro.tiers.pfs import PfsStore
 from repro.tiers.ssd import SsdStore
@@ -36,11 +37,49 @@ class TestTierLevel:
         assert TierLevel.HOST.faster == TierLevel.GPU
 
 
+def _flip_stored_byte(store, key):
+    """Rot one byte of a stored blob behind the store's back."""
+    if getattr(store, "_directory", None) is not None:
+        with open(store._path(key), "r+b") as fh:
+            first = fh.read(1)[0]
+            fh.seek(0)
+            fh.write(bytes([first ^ 0xFF]))
+        return
+    with store._blob_lock:
+        bad = store._blobs[key].copy()
+        bad[0] ^= 0xFF
+        store._blobs[key] = bad
+
+
 class TestSsdStore:
-    @pytest.fixture(params=["memory", "file"])
-    def store(self, request, tmp_path):
-        directory = str(tmp_path / "ssd") if request.param == "file" else None
-        return SsdStore(0, HardwareSpec(), SCALE, _clock(), directory=directory)
+    """The store contract, on every backend: SSD in memory, SSD on files,
+    and the PFS."""
+
+    @pytest.fixture(params=["memory", "file", "pfs"])
+    def make_store(self, request, tmp_path):
+        def make(crc=False):
+            clock = _clock()
+            faults = None
+            if crc:
+                # Resilience on stamps a CRC at put() without injecting faults.
+                faults = FaultDomain(FaultConfig(), ResilienceConfig(enabled=True), clock)
+            if request.param == "pfs":
+                return PfsStore(HardwareSpec(), SCALE, clock, faults=faults)
+            directory = str(tmp_path / "ssd") if request.param == "file" else None
+            return SsdStore(0, HardwareSpec(), SCALE, clock, directory=directory, faults=faults)
+
+        return make
+
+    @pytest.fixture
+    def store(self, make_store):
+        return make_store()
+
+    def test_verify_detects_a_flipped_byte(self, make_store):
+        store = make_store(crc=True)
+        store.put((0, 1), _payload(1 * MiB), 1 * MiB)
+        assert store.verify((0, 1))
+        _flip_stored_byte(store, (0, 1))
+        assert not store.verify((0, 1))
 
     def test_put_get_roundtrip(self, store):
         data = _payload(1 * MiB)
